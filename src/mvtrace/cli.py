@@ -280,30 +280,69 @@ def _build_reg_fista(cfg: dict):
     return reg, fista
 
 
+# every field a run or sweep config may set; a grid point may also set "label"
+RUN_FIELDS = set(RUN_DEFAULTS) | {"dataset", "out", "grid", "raw_truncate"}
+CV_FIELDS = {"folds", "seed"}
+# a grid point that changes only these shares each fold's representation fit
+PENALTY_FIELDS = {"alpha", "eta", "squared_rows", "fista", "label"}
+
+
+def _check_fields(cfg: dict, allowed: set, where: str) -> None:
+    unknown = set(cfg) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {where} field(s): {sorted(unknown)}")
+
+
 def _resolve_run_config(args) -> dict:
     cfg = {**RUN_DEFAULTS, **_load_config(args.config)}
+    _check_fields(cfg, RUN_FIELDS, "run config")
     cfg = _apply_run_flags(cfg, args)
     _require(cfg, "dataset")
     _require(cfg, "out")
     return cfg
 
 
-def _run_one(cfg: dict, label: str | None = None):
-    """Shared run/sweep core: returns (SweepPoint, CvResult, plan, subjects)."""
-    subjects, mesh, _ = load_dataset(cfg["dataset"])
-    laplacian = build_laplacian(mesh)
-    spec = _build_spec(cfg)
-    reg, fista = _build_reg_fista(cfg)
-    cv_cfg = cfg.get("cv", {})
-    n_folds = int(cv_cfg.get("folds", 10))
-    cv_seed = int(cv_cfg.get("seed", cfg["seed"]))
-    plan = evaluation.make_folds(len(subjects), n_folds, cv_seed)
-    result = evaluation.run_cv(
-        subjects, laplacian, spec, reg, fista, plan,
-        seed=int(cfg["seed"]), jobs=int(cfg.get("jobs", 1)),
-    )
-    point = evaluation.SweepPoint(label=label or cfg["arch"], spec=spec, reg=reg)
-    return point, result
+def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
+    """Cross-validate each grid point's overrides of ``cfg``; returns
+    (SweepPoint, CvResult) pairs in grid order.
+
+    Every config is checked before any work starts.  Points whose configs
+    agree in every field outside PENALTY_FIELDS form one
+    ``evaluation.sweep`` call, which fits each fold's representation once for
+    all of them; each dataset is loaded once.
+    """
+    configs, points, groups = [], [], {}
+    for i, overrides in enumerate(grid):
+        _check_fields(overrides, RUN_FIELDS | {"label"}, f"grid[{i}]")
+        merged = {**cfg, **overrides}
+        merged.pop("grid", None)
+        cv_cfg = merged["cv"]
+        if not isinstance(cv_cfg, dict):
+            raise ConfigError("cv must be an object")
+        _check_fields(cv_cfg, CV_FIELDS, "cv")
+        spec = _build_spec(merged)
+        reg, fista = _build_reg_fista(merged)
+        configs.append(merged)
+        points.append(evaluation.SweepPoint(labels[i], spec, reg, fista))
+        shared = {k: v for k, v in merged.items() if k not in PENALTY_FIELDS}
+        groups.setdefault(json.dumps(shared, sort_keys=True), []).append(i)
+    datasets = {}
+    entries = [None] * len(grid)
+    for indices in groups.values():
+        base = configs[indices[0]]
+        if base["dataset"] not in datasets:
+            subjects, mesh, _ = load_dataset(base["dataset"])
+            datasets[base["dataset"]] = subjects, build_laplacian(mesh)
+        subjects, laplacian = datasets[base["dataset"]]
+        cv_cfg = base["cv"]
+        plan = evaluation.make_folds(
+            len(subjects), int(cv_cfg.get("folds", 10)), int(cv_cfg.get("seed", base["seed"]))
+        )
+        swept = evaluation.sweep([points[i] for i in indices], subjects, laplacian, plan,
+                                 seed=int(base["seed"]), jobs=int(base["jobs"]))
+        for i, result in zip(indices, swept.results):
+            entries[i] = (points[i], result)
+    return entries
 
 
 def _write_run_outputs(out: Path, entries, t_crit: float = 2.45) -> None:
@@ -325,16 +364,34 @@ def _write_run_outputs(out: Path, entries, t_crit: float = 2.45) -> None:
         io.write_matrix(out / "significance_t.mvrl", sig.t)
 
 
+def _r2_text(value) -> str:
+    return "undefined" if value is None else f"{value:.6g}"
+
+
+def _report_unconverged(entries) -> None:
+    """One stderr line, whatever MVTRACE_LOG says, if any fit hit max_iters."""
+    folds = [fold for _, result in entries for fold in result.folds]
+    stalled = sum(not fold.converged for fold in folds)
+    if stalled:
+        print(
+            f"warning: {stalled} of {len(folds)} regression fits stopped at "
+            "fista.max_iters without meeting fista.rel_tolerance",
+            file=sys.stderr,
+        )
+
+
 def cmd_run(args) -> int:
     cfg = _resolve_run_config(args)
     out = Path(cfg["out"])
-    point, result = _run_one(cfg)
-    _write_run_outputs(out, [(point, result)])
+    entries = _run_points(cfg, [{}], [cfg["arch"]])
+    _write_run_outputs(out, entries)
     _write_manifest(out, "run", cfg)
+    point, result = entries[0]
     print(
         f"{point.label}: mean MSE {result.mean_mse:.6g} "
-        f"(+/- {result.stderr_mse:.2g}), mean R2 {result.mean_r2:.6g}"
+        f"(+/- {result.stderr_mse:.2g}), mean R2 {_r2_text(result.mean_r2)}"
     )
+    _report_unconverged(entries)
     return 0
 
 
@@ -343,21 +400,19 @@ def cmd_sweep(args) -> int:
     grid = cfg.get("grid")
     if not grid or not isinstance(grid, list):
         raise ConfigError("sweep config needs a nonempty 'grid' list of override objects")
-    out = Path(cfg["out"])
-    entries = []
     for i, overrides in enumerate(grid):
         if not isinstance(overrides, dict):
             raise ConfigError(f"grid[{i}] must be an object of config overrides")
-        merged = {**cfg, **overrides}
-        merged.pop("grid", None)
-        label = overrides.get("label") or _grid_label(cfg, overrides, i)
-        merged.pop("label", None)
-        point, result = _run_one(merged, label=label)
-        entries.append((point, result))
+    labels = [overrides.get("label") or _grid_label(cfg, overrides, i)
+              for i, overrides in enumerate(grid)]
+    out = Path(cfg["out"])
+    entries = _run_points(cfg, grid, labels)
     _write_run_outputs(out, entries)
     _write_manifest(out, "sweep", cfg)
     for point, result in entries:
-        print(f"{point.label}: mean MSE {result.mean_mse:.6g}, mean R2 {result.mean_r2:.6g}")
+        print(f"{point.label}: mean MSE {result.mean_mse:.6g}, "
+              f"mean R2 {_r2_text(result.mean_r2)}")
+    _report_unconverged(entries)
     return 0
 
 

@@ -83,7 +83,7 @@ def r_squared(y_true, y_pred) -> float:
 class FoldResult:
     fold_id: int
     mse: float
-    r2: float
+    r2: float | None  # None where R² is undefined (one test subject, constant scores)
     beta: np.ndarray
     predictions: list[tuple[str, float, float]]  # (subject_id, y_true, y_pred)
     converged: bool
@@ -95,28 +95,35 @@ class FoldResult:
 
 @dataclass
 class CvResult:
+    """Fold results with fold means and standard errors.  The R² figures
+    average the folds where R² is defined; they are None if there is none."""
+
     folds: list[FoldResult]
     mean_mse: float
     stderr_mse: float
-    mean_r2: float
-    stderr_r2: float
+    mean_r2: float | None
+    stderr_r2: float | None
 
     @classmethod
     def from_folds(cls, folds: list[FoldResult]) -> "CvResult":
         mses = np.array([f.mse for f in folds])
-        r2s = np.array([f.r2 for f in folds])
-        k = len(folds)
+        r2s = np.array([f.r2 for f in folds if f.r2 is not None])
         return cls(
             folds=folds,
             mean_mse=float(mses.mean()),
-            stderr_mse=float(mses.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0,
-            mean_r2=float(r2s.mean()),
-            stderr_r2=float(r2s.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0,
+            stderr_mse=_stderr(mses),
+            mean_r2=float(r2s.mean()) if len(r2s) else None,
+            stderr_r2=_stderr(r2s) if len(r2s) else None,
         )
 
     @property
     def betas(self) -> list[np.ndarray]:
         return [f.beta for f in self.folds]
+
+
+def _stderr(values: np.ndarray) -> float:
+    k = len(values)
+    return float(values.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
 
 
 def run_fold(
@@ -131,7 +138,8 @@ def run_fold(
     fit_seed: int,
     keep_model: bool = False,
     standardize_latents: bool = True,
-) -> FoldResult:
+    penalties: list[tuple[RegularizationConfig, FistaConfig]] | None = None,
+) -> FoldResult | list[FoldResult]:
     """Fit representation + regression on the training split, score the test split.
 
     With ``standardize_latents`` (default) every latent column is z-scored
@@ -139,7 +147,15 @@ def run_fold(
     have an arbitrary per-column scale (a rescaled code with an inversely
     rescaled decoder reconstructs identically), so without this the penalty
     weights would not be comparable across representations.
+
+    ``penalties``, a list of (reg, fista) pairs, replaces ``reg`` and
+    ``fista``: the representation is fit and every subject encoded once,
+    then the regression is fit and scored once per pair, and the
+    FoldResults come back as a list in pair order.
     """
+    single = penalties is None
+    if single:
+        penalties = [(reg, fista)]
     train_subjects = [subjects[i] for i in train_idx]
     model = spec.fit(train_subjects, int(fit_seed))
     train_latents = np.stack([model.encode_subject(s).z for s in train_subjects])
@@ -154,29 +170,40 @@ def run_fold(
         scores=scores_array(train_subjects),
         laplacian=laplacian,
     )
-    fit = fit_mfista(dataset, reg, fista)
-    predictions = []
+    fits = [fit_mfista(dataset, r, f) for r, f in penalties]
+    # one test subject's latents at a time, scored against every fit
+    predictions = [[] for _ in fits]
     for i in test_idx:
         z = model.encode_subject(subjects[i]).z
         if standardize_latents:
             z = (z - latent_mean) / latent_std
-        predictions.append(
-            (subjects[i].subject_id, subjects[i].score, predict(fit.beta, z))
-        )
-    y_true = np.array([p[1] for p in predictions])
-    y_pred = np.array([p[2] for p in predictions])
-    return FoldResult(
-        fold_id=fold_id,
-        mse=mean_squared_error(y_true, y_pred),
-        r2=r_squared(y_true, y_pred),
-        beta=fit.beta,
-        predictions=predictions,
-        converged=fit.converged,
-        objectives=fit.objectives,
-        model=model if keep_model else None,
-        latent_mean=latent_mean,
-        latent_std=latent_std,
-    )
+        for fit, rows in zip(fits, predictions):
+            rows.append((subjects[i].subject_id, subjects[i].score, predict(fit.beta, z)))
+    results = []
+    for fit, rows in zip(fits, predictions):
+        y_true = np.array([p[1] for p in rows])
+        y_pred = np.array([p[2] for p in rows])
+        results.append(FoldResult(
+            fold_id=fold_id,
+            mse=mean_squared_error(y_true, y_pred),
+            r2=_defined_r_squared(y_true, y_pred),
+            beta=fit.beta,
+            predictions=rows,
+            converged=fit.converged,
+            objectives=fit.objectives,
+            model=model if keep_model else None,
+            latent_mean=latent_mean,
+            latent_std=latent_std,
+        ))
+    return results[0] if single else results
+
+
+def _defined_r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float | None:
+    """R², or None on a one-subject test fold or constant scores."""
+    try:
+        return r_squared(y_true, y_pred)
+    except ValueError:
+        return None
 
 
 def _run_fold_payload(args):
@@ -195,22 +222,28 @@ def run_cv(
     jobs: int = 1,
     keep_models: bool = False,
     standardize_latents: bool = True,
-) -> CvResult:
+    penalties: list[tuple[RegularizationConfig, FistaConfig]] | None = None,
+) -> CvResult | list[CvResult]:
     """Full k-fold cross-validation of representation + trace regression.
 
     Fold fit seeds derive from ``seed`` through a SeedSequence, so results
     are reproducible and independent of ``jobs``.
+
+    ``penalties``, a list of (reg, fista) pairs, replaces ``reg`` and
+    ``fista``: each fold's representation is fit once for every pair (see
+    ``run_fold``) and one CvResult per pair comes back, in pair order.
     """
-    reg = reg or RegularizationConfig()
-    fista = fista or FistaConfig()
+    single = penalties is None
+    if single:
+        penalties = [(reg, fista)]
     if plan is None:
         plan = make_folds(len(subjects), min(10, len(subjects)), seed)
     fold_seeds = np.random.SeedSequence(seed).generate_state(plan.n_folds)
     payloads = [
         (
-            subjects, laplacian, spec, reg, fista,
+            subjects, laplacian, spec, None, None,
             plan.train_indices(f), plan.test_indices(f), f, int(fold_seeds[f]),
-            keep_models, standardize_latents,
+            keep_models, standardize_latents, penalties,
         )
         for f in range(plan.n_folds)
     ]
@@ -219,7 +252,9 @@ def run_cv(
             folds = list(pool.map(_run_fold_payload, payloads))
     else:
         folds = [_run_fold_payload(p) for p in payloads]
-    return CvResult.from_folds(folds)
+    results = [CvResult.from_folds([fold[p] for fold in folds])
+               for p in range(len(penalties))]
+    return results[0] if single else results
 
 
 @dataclass
@@ -278,12 +313,13 @@ def significance_map(
 
 @dataclass
 class SweepPoint:
-    """One grid entry: a label, a representation spec, optional reg override,
-    and the latent dims recorded in output tables."""
+    """One grid entry: a label, a representation spec, optional reg and
+    fista overrides, and the latent dims recorded in output tables."""
 
     label: str
     spec: object
     reg: RegularizationConfig | None = None
+    fista: FistaConfig | None = None
     enc: int | None = None
     enc_split: tuple[int, int] | None = None
 
@@ -322,18 +358,29 @@ def sweep(
     seed: int = 0,
     jobs: int = 1,
 ) -> SweepResult:
-    """run_cv per grid point, in order, sharing the fold plan."""
+    """Cross-validate every grid point on one fold plan; results in grid order.
+
+    Points with equal specs share one ``run_cv``: each fold's representation
+    is fit, and its subjects encoded and z-scored, once for all of them, and
+    only the regression and the scoring run per point.  ``reg`` and
+    ``fista`` apply to the points that do not set their own.
+    """
     if not points:
         raise ValueError("empty sweep grid")
-    results = []
-    for point in points:
-        results.append(
-            run_cv(
-                subjects, laplacian, point.spec,
-                point.reg if point.reg is not None else reg,
-                fista, plan, seed=seed, jobs=jobs,
-            )
-        )
+    groups: list[list[int]] = []
+    for i, point in enumerate(points):
+        group = next((g for g in groups if points[g[0]].spec == point.spec), None)
+        if group is None:
+            groups.append([i])
+        else:
+            group.append(i)
+    results: list[CvResult | None] = [None] * len(points)
+    for group in groups:
+        penalties = [(points[i].reg or reg, points[i].fista or fista) for i in group]
+        shared = run_cv(subjects, laplacian, points[group[0]].spec, plan=plan,
+                        seed=seed, jobs=jobs, penalties=penalties)
+        for i, result in zip(group, shared):
+            results[i] = result
     return SweepResult(points=points, results=results)
 
 
@@ -386,13 +433,16 @@ SUMMARY_HEADER = [
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
 
 
 def write_fold_csv(path, entries: list[tuple[SweepPoint, CvResult]]) -> None:
-    """One row per (config, fold): config,enc,enc_t,enc_r,fold,mse,r2."""
+    """One row per (config, fold): config,enc,enc_t,enc_r,fold,mse,r2.
+    An undefined R² is an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FOLD_HEADER)

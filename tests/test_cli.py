@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from mvtrace.autoencoders import AutoencoderSpec
 from mvtrace.cli import main
 from mvtrace.data import load_dataset
 
@@ -201,6 +202,57 @@ class TestRun:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]
 
+    def test_misspelled_field_is_config_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path, "run.json",
+            {**SMALL_RUN, "alhpa": 24, "dataset": str(dataset_dir), "out": str(out)},
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "alhpa" in err["message"]
+        assert not out.exists()
+
+    def test_misspelled_cv_field_is_config_error(self, dataset_dir, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "run.json",
+            {**SMALL_RUN, "cv": {"fold": 4}, "dataset": str(dataset_dir),
+             "out": str(tmp_path / "o")},
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "fold" in err["message"]
+
+    def test_leave_one_out(self, dataset_dir, tmp_path):
+        # one subject per test fold: R² is undefined there, its cells blank
+        out = tmp_path / "loo"
+        cfg = write_config(
+            tmp_path, "run.json",
+            {**SMALL_RUN, "cv": {"folds": 12, "seed": 7},
+             "dataset": str(dataset_dir), "out": str(out)},
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        with open(out / "folds.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 12
+        assert all(r["r2"] == "" and float(r["mse"]) >= 0 for r in rows)
+        with open(out / "summary.csv") as fh:
+            (summary,) = list(csv.DictReader(fh))
+        assert summary["mean_r2"] == "" and summary["stderr_r2"] == ""
+        assert float(summary["mean_mse"]) > 0
+        assert len(list(out.glob("beta_fold*.mvrl"))) == 12
+
+    def test_unconverged_fits_reported_once(self, dataset_dir, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "run.json",
+            {**SMALL_RUN, "fista": {"max_iters": 1}, "dataset": str(dataset_dir),
+             "out": str(tmp_path / "o")},
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "4 of 4 regression fits stopped at fista.max_iters" in err[0]
+
     def test_bad_enc_split_flag(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "run.json",
@@ -229,6 +281,17 @@ class TestSweep:
         assert len(rows) == 1 + 3 * 4
         assert {r[1] for r in rows[1:]} == {"2", "3", "5"}
 
+    def test_misspelled_grid_field_is_config_error(self, dataset_dir, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "sweep.json",
+            {**SMALL_RUN, "dataset": str(dataset_dir), "out": str(tmp_path / "s"),
+             "grid": [{"alpha": 1.0}, {"alhpa": 24, "label": "typo"}]},
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "grid[1]" in err["message"] and "alhpa" in err["message"]
+
     def test_empty_grid_is_config_error(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "sweep.json",
@@ -237,6 +300,80 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "grid" in err["message"]
+
+
+PENALTY_GRID = [
+    {"alpha": 2.0, "eta": 5.0},
+    {"alpha": 1.0, "eta": 2.0},
+    {"alpha": 0.5, "eta": 1.0, "fista": {"max_iters": 200}},
+]
+AE_RUN = {**SMALL_RUN, "arch": "concat-ae", "enc": 3, "hidden_dims": [8],
+          "epochs": 2, "batch_size": 64}
+
+
+def fold_cells(out, label):
+    """(fold, mse, r2) cells of one config's folds.csv rows, as written."""
+    with open(out / "folds.csv") as fh:
+        return [(r["fold"], r["mse"], r["r2"]) for r in csv.DictReader(fh)
+                if r["config"] == label]
+
+
+@pytest.fixture
+def fitted_specs(monkeypatch):
+    """Every AutoencoderSpec that fits a fold, in call order."""
+    specs = []
+    fit = AutoencoderSpec.fit
+
+    def counted(spec, subjects, seed):
+        specs.append(spec)
+        return fit(spec, subjects, seed)
+
+    monkeypatch.setattr(AutoencoderSpec, "fit", counted)
+    return specs
+
+
+class TestSweepReuse:
+    """Grid points that differ only in penalties share each fold's fit."""
+
+    def sweep(self, dataset_dir, tmp_path, name, grid=PENALTY_GRID, **extra):
+        out = tmp_path / name
+        cfg = write_config(
+            tmp_path, f"{name}.json",
+            {**AE_RUN, **extra, "dataset": str(dataset_dir), "out": str(out), "grid": grid},
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        return out
+
+    def test_one_fit_per_fold(self, dataset_dir, tmp_path, fitted_specs):
+        self.sweep(dataset_dir, tmp_path, "counted")
+        assert len(fitted_specs) == 4  # 3 points x 4 folds, one fit per fold
+
+    def test_enc_points_fit_separately(self, dataset_dir, tmp_path, fitted_specs):
+        grid = [{"enc": 2}, {"enc": 3, "alpha": 1.0}, {"enc": 2, "eta": 1.0}]
+        out = self.sweep(dataset_dir, tmp_path, "enc", grid=grid)
+        assert sorted(s.config.enc for s in fitted_specs) == [2] * 4 + [3] * 4
+        with open(out / "summary.csv") as fh:
+            labels = [r["config"] for r in csv.DictReader(fh)]
+        assert labels == ["enc=2", "alpha=1.0,enc=3", "enc=2,eta=1.0"]
+
+    def test_cells_match_single_runs(self, dataset_dir, tmp_path):
+        swept = self.sweep(dataset_dir, tmp_path, "swept")
+        with open(swept / "summary.csv") as fh:
+            labels = [r["config"] for r in csv.DictReader(fh)]
+        for i, (label, point) in enumerate(zip(labels, PENALTY_GRID)):
+            out = tmp_path / f"run{i}"
+            cfg = write_config(
+                tmp_path, f"run{i}.json",
+                {**AE_RUN, **point, "dataset": str(dataset_dir), "out": str(out)},
+            )
+            assert main(["run", "--config", str(cfg)]) == 0
+            assert fold_cells(swept, label) == fold_cells(out, "concat-ae")
+
+    def test_parallel_folds_match_sequential(self, dataset_dir, tmp_path):
+        seq = self.sweep(dataset_dir, tmp_path, "seq", jobs=1)
+        par = self.sweep(dataset_dir, tmp_path, "par", jobs=2)
+        for name in ("folds.csv", "summary.csv"):
+            assert (seq / name).read_bytes() == (par / name).read_bytes()
 
 
 class TestMapAndInspect:

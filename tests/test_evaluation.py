@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ class TestRunCv:
             np.std([f.mse for f in res.folds], ddof=1) / np.sqrt(k)
         )
         assert all(len(f.predictions) == len(plan.test_indices(f.fold_id)) for f in res.folds)
+
+    def test_undefined_r2_left_out_of_means(self, planted):
+        subjects, lap, _ = planted
+        plan = ev.make_folds(12, 12, seed=2)
+        res = ev.run_cv(subjects[:12], lap, PcaSpec(enc=4),
+                        RegularizationConfig(alpha=12, eta=20), FISTA, plan, seed=2)
+        assert all(f.r2 is None for f in res.folds)
+        assert res.mean_r2 is None and res.stderr_r2 is None
+        assert np.isfinite(res.mean_mse)
+        defined = replace(res.folds[0], r2=0.5)
+        mixed = ev.CvResult.from_folds([defined, res.folds[1], replace(defined, r2=0.25)])
+        assert mixed.mean_r2 == 0.375
+        assert mixed.stderr_r2 == pytest.approx(np.std([0.5, 0.25], ddof=1) / np.sqrt(2))
 
     def test_parallel_folds_match_sequential(self, planted):
         subjects, lap, _ = planted
@@ -284,6 +298,36 @@ class TestSweepAndCsv:
         result = ev.sweep(points, subjects, lap, plan, reg, FISTA, seed=8)
         assert len(result.results) == 3
         assert ev.point_dims(points[0]) == (10, 8, 2)
+
+    def test_equal_specs_share_fold_fits(self, planted, monkeypatch):
+        subjects, lap, _ = planted
+        plan = ev.make_folds(40, 4, seed=9)
+        fits = []
+        fit = PcaSpec.fit
+
+        def counted(spec, subs, seed):
+            fits.append(spec.enc)
+            return fit(spec, subs, seed)
+
+        monkeypatch.setattr(PcaSpec, "fit", counted)
+        penalties = [
+            (RegularizationConfig(alpha=12, eta=20), None),
+            (RegularizationConfig(alpha=4, eta=10), FistaConfig(max_iters=50)),
+            (None, None),
+        ]
+        points = [ev.SweepPoint(label=f"p{i}", spec=PcaSpec(enc=4), reg=r, fista=f)
+                  for i, (r, f) in enumerate(penalties)]
+        points.insert(1, ev.SweepPoint(label="enc3", spec=PcaSpec(enc=3)))
+        base_reg = RegularizationConfig(alpha=8, eta=5)
+        result = ev.sweep(points, subjects, lap, plan, base_reg, FISTA, seed=9)
+        assert fits == [4, 4, 4, 4, 3, 3, 3, 3]
+        assert [p.label for p in result.points] == ["p0", "enc3", "p1", "p2"]
+        for point, swept in zip(result.points, result.results):
+            direct = ev.run_cv(subjects, lap, point.spec, point.reg or base_reg,
+                               point.fista or FISTA, plan, seed=9)
+            for a, b in zip(swept.folds, direct.folds):
+                assert np.array_equal(a.beta, b.beta)
+                assert (a.mse, a.r2, a.converged) == (b.mse, b.r2, b.converged)
 
     def test_empty_grid_rejected(self, planted):
         subjects, lap, _ = planted
