@@ -1,14 +1,18 @@
-"""Multi-view representation models and their training loops.
+"""Multi-view representation models and their training loop.
 
-Two trainable architectures operate on per-vertex feature pairs
-``(x_task, x_rest)``:
+Every autoencoder kind is one graph over the per-vertex feature pair
+``(x_task, x_rest)``, read as the columns ``[task | rest]``:
 
-* a concatenated-input autoencoder (plus its monomodal single-view
-  variants): one encoder/decoder stack over the chosen input block;
-* a dual-encoder multi-view autoencoder ("mdae"): one encoder per view, the
-  two codes concatenated (task first, then rest) into a joint bottleneck
-  that feeds *both* decoders, trained on the unweighted sum of the two
-  per-view reconstruction MSEs.
+* one encoder per column block, each ending in its share of the bottleneck;
+* one latent code: the blocks' codes concatenated in block order;
+* one decoder per block that reads the whole code and reconstructs that
+  block's columns;
+* a loss that is the unweighted sum of the per-decoder MSEs.
+
+``monomodal-task`` and ``monomodal-rest`` have one block over one view,
+``concat-ae`` one block over both views, and the dual-encoder multi-view
+autoencoder ``mdae`` a task block and a rest block that split the code by
+``enc_split``.
 
 A PCA wrapper, a raw passthrough and a fixed-latent oracle expose the same
 subject-encoding interface so the evaluation harness can swap them freely.
@@ -18,7 +22,8 @@ variants additionally min-max map the reconstruction targets to [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -101,92 +106,15 @@ class ArchitectureConfig:
         elif self.enc_split is not None:
             raise ValueError("enc_split only applies to kind='mdae'")
 
-    def input_dim(self, view: ViewSpec) -> int:
-        if self.kind == "monomodal-task":
-            return view.d_task
-        if self.kind == "monomodal-rest":
-            return view.d_rest
-        return view.d_concat
-
-
-def stack_dims(config: ArchitectureConfig, view: ViewSpec) -> list[int]:
-    """Full symmetric layer-width list of a single-stack architecture,
-    e.g. [d_in, 200, 130, enc, 130, 200, d_in]."""
-    if config.kind == "mdae":
-        raise ValueError("mdae has per-view stacks; see mdae_dims")
-    d = config.input_dim(view)
-    hidden = list(config.hidden_dims)
-    return [d, *hidden, config.enc, *reversed(hidden), d]
-
-
-def mdae_dims(config: ArchitectureConfig, view: ViewSpec) -> dict[str, list[int]]:
-    """Per-network width lists of an mdae architecture."""
-    if config.kind != "mdae":
-        raise ValueError("mdae_dims expects kind='mdae'")
-    enc_t, enc_r = config.enc_split
-    hidden = list(config.hidden_dims)
-    rev = list(reversed(hidden))
-    return {
-        "encoder_task": [view.d_task, *hidden, enc_t],
-        "encoder_rest": [view.d_rest, *hidden, enc_r],
-        "decoder_task": [config.enc, *rev, view.d_task],
-        "decoder_rest": [config.enc, *rev, view.d_rest],
-    }
-
-
-def table_architectures(
-    view: ViewSpec,
-    *,
-    enc: int = 10,
-    hidden_activation: str = "linear",
-    output_activation: str = "linear",
-) -> dict[str, ArchitectureConfig]:
-    """The catalog of stackings investigated in the architecture sweep.
-
-    One-layer rows bottleneck directly; two- and three-layer rows insert the
-    listed hidden widths on each side.  The mdae rows reuse the per-view
-    hidden widths for both view stacks.
-    """
-    acts = {"hidden_activation": hidden_activation, "output_activation": output_activation}
-    cat: dict[str, ArchitectureConfig] = {}
-    for label, kind in (
-        ("task", "monomodal-task"),
-        ("rest", "monomodal-rest"),
-        ("concat", "concat-ae"),
-    ):
-        cat[f"ae-{label}-1"] = ArchitectureConfig(kind=kind, enc=enc, hidden_dims=(), **acts)
-    for width in (120, 130):
-        cat[f"ae-task-2-{width}"] = ArchitectureConfig(
-            kind="monomodal-task", enc=enc, hidden_dims=(width,), **acts
-        )
-        cat[f"ae-rest-2-{width}"] = ArchitectureConfig(
-            kind="monomodal-rest", enc=enc, hidden_dims=(width,), **acts
-        )
-    for width in (150, 200):
-        cat[f"ae-concat-2-{width}"] = ArchitectureConfig(
-            kind="concat-ae", enc=enc, hidden_dims=(width,), **acts
-        )
-    for width in (120, 130):
-        cat[f"ae-task-3-140-{width}"] = ArchitectureConfig(
-            kind="monomodal-task", enc=enc, hidden_dims=(140, width), **acts
-        )
-        cat[f"ae-rest-3-140-{width}"] = ArchitectureConfig(
-            kind="monomodal-rest", enc=enc, hidden_dims=(140, width), **acts
-        )
-    cat["ae-concat-3-250-150"] = ArchitectureConfig(
-        kind="concat-ae", enc=enc, hidden_dims=(250, 150), **acts
-    )
-    cat["ae-concat-3-200-130"] = ArchitectureConfig(
-        kind="concat-ae", enc=enc, hidden_dims=(200, 130), **acts
-    )
-    for width in (120, 130):
-        cat[f"mdae-2-{width}"] = ArchitectureConfig(
-            kind="mdae", enc=enc, hidden_dims=(width,), **acts
-        )
-        cat[f"mdae-3-140-{width}"] = ArchitectureConfig(
-            kind="mdae", enc=enc, hidden_dims=(140, width), **acts
-        )
-    return cat
+    def blocks(self, view: ViewSpec) -> list[tuple[slice, int]]:
+        """(columns of ``[task | rest]``, code width) of each encoder, in code
+        order."""
+        task, rest = slice(0, view.d_task), slice(view.d_task, view.d_concat)
+        if self.kind == "mdae":
+            return [(task, self.enc_split[0]), (rest, self.enc_split[1])]
+        both = slice(0, view.d_concat)
+        columns = {"monomodal-task": task, "monomodal-rest": rest, "concat-ae": both}
+        return [(columns[self.kind], self.enc)]
 
 
 @dataclass
@@ -227,6 +155,20 @@ class FeatureScaler:
             return standardized
         return (standardized - self.minmax_low) / self.minmax_span
 
+    @classmethod
+    def concat(cls, parts: list["FeatureScaler"]) -> "FeatureScaler":
+        """One scaler over adjacent column blocks, each part fit on its own
+        block."""
+        def join(name):
+            values = [getattr(p, name) for p in parts]
+            return None if values[0] is None else np.concatenate(values)
+        return cls(*(join(f.name) for f in fields(cls)))
+
+    def columns(self, cols: slice) -> "FeatureScaler":
+        """The statistics of the columns ``cols``."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return FeatureScaler(*(None if v is None else v[cols] for v in values))
+
     def to_dict(self) -> dict:
         out = {"mean": self.mean.tolist(), "std": self.std.tolist()}
         if self.minmax_low is not None:
@@ -256,138 +198,92 @@ class _SubjectEncoderMixin:
         return LatentSubject(subject_id=subject.subject_id, z=np.atleast_2d(z))
 
 
-class ConcatAutoencoder(_SubjectEncoderMixin):
-    """Single-stack autoencoder over one view or the concatenated pair."""
+def _columns(x_task: np.ndarray, x_rest: np.ndarray, cols: slice) -> np.ndarray:
+    """Columns ``cols`` of ``[x_task | x_rest]``.
 
-    def __init__(self, config, view, scaler, encoder, decoder, epoch_losses):
+    A basic slice of one view, or a contiguous copy when ``cols`` spans both;
+    never fancy indexing, whose F-ordered result changes the GEMM bits.
+    """
+    d_task = x_task.shape[-1]
+    if cols.stop <= d_task:
+        return x_task[..., cols]
+    if cols.start >= d_task:
+        return x_rest[..., cols.start - d_task:cols.stop - d_task]
+    return np.concatenate(
+        [x_task[..., cols.start:], x_rest[..., :cols.stop - d_task]], axis=-1
+    )
+
+
+def _batches(*views) -> list[np.ndarray]:
+    return [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in views]
+
+
+class Autoencoder(_SubjectEncoderMixin):
+    """Encoders over column blocks of ``[task | rest]``, their codes
+    concatenated in block order, and one decoder per block that reads the
+    whole code.
+
+    ``scaler`` covers the model's input columns: the blocks' columns in
+    order.  ``epoch_losses`` holds, per epoch, the summed training MSE
+    followed by each decoder's.
+    """
+
+    def __init__(self, config, view, scaler, encoders, decoders, epoch_losses):
         self.config = config
         self.view = view
         self.scaler = scaler
-        self.encoder = encoder
-        self.decoder = decoder
+        self.encoders = list(encoders)
+        self.decoders = list(decoders)
         self.epoch_losses = epoch_losses
+        self.blocks = [cols for cols, _ in config.blocks(view)]
+        first = self.blocks[0].start
+        self._scalers = [
+            scaler.columns(slice(c.start - first, c.stop - first)) for c in self.blocks
+        ]
 
     @property
     def latent_dim(self) -> int:
         return self.config.enc
 
-    def _model_input(self, x_task, x_rest) -> np.ndarray:
-        x_task = np.asarray(x_task, dtype=np.float64)
-        x_rest = np.asarray(x_rest, dtype=np.float64)
-        if self.config.kind == "monomodal-task":
-            return x_task
-        if self.config.kind == "monomodal-rest":
-            return x_rest
-        return np.concatenate([x_task, x_rest], axis=-1)
+    def _encode(self, x_task, x_rest) -> np.ndarray:
+        return np.concatenate(
+            [
+                encoder.forward(scaler.transform(_columns(x_task, x_rest, cols)))
+                for encoder, scaler, cols in zip(self.encoders, self._scalers, self.blocks)
+            ],
+            axis=1,
+        )
 
     def encode_pair(self, x_task, x_rest) -> np.ndarray:
-        x = self._model_input(x_task, x_rest)
-        single = x.ndim == 1
-        z = self.encoder.forward(self.scaler.transform(np.atleast_2d(x)))
-        return z[0] if single else z
+        z = self._encode(*_batches(x_task, x_rest))
+        return z[0] if np.ndim(x_task) == 1 else z
 
     def reconstruction_mse(self, x_task, x_rest) -> float:
-        """Reconstruction MSE in the (normalized) target space."""
-        x = np.atleast_2d(self._model_input(x_task, x_rest))
-        recon = self.decoder.forward(self.encoder.forward(self.scaler.transform(x)))
-        return nn.mse_loss(recon, self.scaler.target(x))
+        """Summed per-decoder reconstruction MSE in the (normalized) target
+        space."""
+        x_task, x_rest = _batches(x_task, x_rest)
+        z = self._encode(x_task, x_rest)
+        return sum(
+            nn.mse_loss(decoder.forward(z), scaler.target(_columns(x_task, x_rest, cols)))
+            for decoder, scaler, cols in zip(self.decoders, self._scalers, self.blocks)
+        )
 
     def save(self, path) -> None:
         header = {
-            "kind": self.config.kind,
-            "enc": self.config.enc,
-            "hidden_dims": list(self.config.hidden_dims),
-            "hidden_activation": self.config.hidden_activation,
-            "output_activation": self.config.output_activation,
-            "view": {"d_task": self.view.d_task, "d_rest": self.view.d_rest},
+            **asdict(self.config),
+            "view": asdict(self.view),
             "scaler": self.scaler.to_dict(),
         }
-        io.write_model_container(
-            path, header, {"encoder": self.encoder, "decoder": self.decoder}
-        )
-
-
-class MultiViewAutoencoder(_SubjectEncoderMixin):
-    """Dual-encoder autoencoder with a concatenated joint bottleneck.
-
-    The latent code is ``z = [encoder_task(x_task), encoder_rest(x_rest)]``
-    (task block first) and both decoders read the full code.
-    """
-
-    def __init__(
-        self, config, view, scaler_task, scaler_rest,
-        encoder_task, encoder_rest, decoder_task, decoder_rest, epoch_losses,
-    ):
-        self.config = config
-        self.view = view
-        self.scaler_task = scaler_task
-        self.scaler_rest = scaler_rest
-        self.encoder_task = encoder_task
-        self.encoder_rest = encoder_rest
-        self.decoder_task = decoder_task
-        self.decoder_rest = decoder_rest
-        self.epoch_losses = epoch_losses
-
-    @property
-    def latent_dim(self) -> int:
-        return self.config.enc
-
-    def encode_pair(self, x_task, x_rest) -> np.ndarray:
-        x_task = np.asarray(x_task, dtype=np.float64)
-        single = x_task.ndim == 1
-        z_t = self.encoder_task.forward(self.scaler_task.transform(np.atleast_2d(x_task)))
-        z_r = self.encoder_rest.forward(self.scaler_rest.transform(np.atleast_2d(x_rest)))
-        z = np.concatenate([z_t, z_r], axis=1)
-        return z[0] if single else z
-
-    def view_reconstruction_mse(self, x_task, x_rest) -> tuple[float, float]:
-        z = np.atleast_2d(self.encode_pair(x_task, x_rest))
-        loss_t = nn.mse_loss(
-            self.decoder_task.forward(z), self.scaler_task.target(np.atleast_2d(x_task))
-        )
-        loss_r = nn.mse_loss(
-            self.decoder_rest.forward(z), self.scaler_rest.target(np.atleast_2d(x_rest))
-        )
-        return loss_t, loss_r
-
-    def reconstruction_mse(self, x_task, x_rest) -> float:
-        loss_t, loss_r = self.view_reconstruction_mse(x_task, x_rest)
-        return loss_t + loss_r
-
-    def save(self, path) -> None:
-        header = {
-            "kind": "mdae",
-            "enc": self.config.enc,
-            "enc_split": list(self.config.enc_split),
-            "hidden_dims": list(self.config.hidden_dims),
-            "hidden_activation": self.config.hidden_activation,
-            "output_activation": self.config.output_activation,
-            "view": {"d_task": self.view.d_task, "d_rest": self.view.d_rest},
-            "scaler_task": self.scaler_task.to_dict(),
-            "scaler_rest": self.scaler_rest.to_dict(),
-        }
-        io.write_model_container(
-            path,
-            header,
-            {
-                "encoder_task": self.encoder_task,
-                "encoder_rest": self.encoder_rest,
-                "decoder_task": self.decoder_task,
-                "decoder_rest": self.decoder_rest,
-            },
-        )
+        blocks = {}
+        for i, (encoder, decoder) in enumerate(zip(self.encoders, self.decoders)):
+            blocks[f"encoder{i}"] = encoder
+            blocks[f"decoder{i}"] = decoder
+        io.write_model_container(path, header, blocks)
 
 
 def _sample_arrays(data) -> tuple[np.ndarray, np.ndarray]:
-    """Accept either (X_task, X_rest) arrays or a list of (x_t, x_r) pairs."""
-    if isinstance(data, tuple) and len(data) == 2:
-        x_task, x_rest = (np.asarray(v, dtype=np.float64) for v in data)
-    else:
-        pairs = list(data)
-        if not pairs:
-            raise ValueError("empty training data")
-        x_task = np.asarray([p[0] for p in pairs], dtype=np.float64)
-        x_rest = np.asarray([p[1] for p in pairs], dtype=np.float64)
+    """The (X_task, X_rest) pair of sample matrices."""
+    x_task, x_rest = (np.asarray(v, dtype=np.float64) for v in data)
     if x_task.ndim != 2 or x_rest.ndim != 2:
         raise ValueError("training views must be 2-D (samples x features)")
     if x_task.shape[0] != x_rest.shape[0]:
@@ -397,139 +293,92 @@ def _sample_arrays(data) -> tuple[np.ndarray, np.ndarray]:
     return x_task, x_rest
 
 
-def train_concat_ae(
+def train_autoencoder(
     data,
     config: ArchitectureConfig,
     seed: int,
     *,
-    epochs: int = 300,
-    batch_size: int = 500,
-    learning_rate: float = 1e-3,
-) -> ConcatAutoencoder:
-    """Train a concatenated-input (or monomodal) autoencoder.
+    epochs: int,
+    batch_size: int,
+    learning_rate: float,
+) -> Autoencoder:
+    """Adam-train the autoencoder ``config`` on the sum of its per-decoder
+    reconstruction MSEs.
 
-    ``data`` is either a pair of (N, d_task)/(N, d_rest) arrays or a list of
-    per-sample view pairs.  Returns the trained model with its per-epoch
-    training losses on ``epoch_losses``.
+    ``data`` is a pair of (N, d_task)/(N, d_rest) arrays.  Each block's
+    scaler is fit on that block's columns alone.  ``default_rng(seed)`` draws
+    the encoder layers in block order, then the decoder layers, then the
+    seed of the per-epoch shuffle, so for a fixed BLAS thread count the
+    result is a pure function of (data, config, seed, epochs, batch_size,
+    learning_rate).
     """
-    if config.kind == "mdae":
-        raise ValueError("use train_mdae for kind='mdae'")
     x_task, x_rest = _sample_arrays(data)
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     view = ViewSpec(d_task=x_task.shape[1], d_rest=x_rest.shape[1])
-    if config.kind == "monomodal-task":
-        x = x_task
-    elif config.kind == "monomodal-rest":
-        x = x_rest
-    else:
-        x = np.concatenate([x_task, x_rest], axis=1)
-    scaler = FeatureScaler.fit(x, minmax=config.output_activation == "sigmoid")
-    inputs = scaler.transform(x)
-    targets = scaler.target(x)
-    rng = np.random.default_rng(seed)
-    mlp = nn.MLP.from_dims(
-        stack_dims(config, view), config.hidden_activation, config.output_activation, rng
-    )
-    losses = nn.train_mlp(
-        mlp, inputs, targets,
-        epochs=epochs, batch_size=batch_size, learning_rate=learning_rate,
-        seed=int(rng.integers(2**31)),
-    )
-    n_enc = len(config.hidden_dims) + 1
-    encoder = nn.MLP(mlp.layers[:n_enc])
-    decoder = nn.MLP(mlp.layers[n_enc:])
-    return ConcatAutoencoder(config, view, scaler, encoder, decoder, losses)
-
-
-def train_mdae(
-    data,
-    config: ArchitectureConfig,
-    seed: int,
-    *,
-    epochs: int = 300,
-    batch_size: int = 500,
-    learning_rate: float = 1e-3,
-) -> MultiViewAutoencoder:
-    """Jointly train the four mdae networks on the two-term MSE loss.
-
-    The loss is the unweighted sum of the task-view and rest-view
-    reconstruction MSEs, both decoded from the shared concatenated code.
-    ``epoch_losses`` on the returned model holds (total, task, rest) per
-    epoch.
-    """
-    if config.kind != "mdae":
-        raise ValueError("train_mdae expects kind='mdae'")
-    x_task, x_rest = _sample_arrays(data)
-    view = ViewSpec(d_task=x_task.shape[1], d_rest=x_rest.shape[1])
+    blocks = config.blocks(view)
     minmax = config.output_activation == "sigmoid"
-    scaler_task = FeatureScaler.fit(x_task, minmax=minmax)
-    scaler_rest = FeatureScaler.fit(x_rest, minmax=minmax)
-    in_task = scaler_task.transform(x_task)
-    in_rest = scaler_rest.transform(x_rest)
-    tgt_task = scaler_task.target(x_task)
-    tgt_rest = scaler_rest.target(x_rest)
+    columns = [_columns(x_task, x_rest, cols) for cols, _ in blocks]
+    scalers = [FeatureScaler.fit(x, minmax=minmax) for x in columns]
+    inputs = [s.transform(x) for s, x in zip(scalers, columns)]
+    targets = [s.target(x) for s, x in zip(scalers, columns)]
+    del columns  # a block over both views holds a concatenated copy
 
     rng = np.random.default_rng(seed)
-    dims = mdae_dims(config, view)
+    hidden = list(config.hidden_dims)
     hid, out = config.hidden_activation, config.output_activation
     # Encoders end in the hidden activation (the bottleneck is a hidden
     # layer); decoders end in the output activation.
-    encoder_task = nn.MLP.from_dims(dims["encoder_task"], hid, hid, rng)
-    encoder_rest = nn.MLP.from_dims(dims["encoder_rest"], hid, hid, rng)
-    decoder_task = nn.MLP.from_dims(dims["decoder_task"], hid, out, rng)
-    decoder_rest = nn.MLP.from_dims(dims["decoder_rest"], hid, out, rng)
-
-    params = (
-        encoder_task.parameters() + encoder_rest.parameters()
-        + decoder_task.parameters() + decoder_rest.parameters()
-    )
+    encoders = [
+        nn.MLP.from_dims([cols.stop - cols.start, *hidden, width], hid, hid, rng)
+        for cols, width in blocks
+    ]
+    decoders = [
+        nn.MLP.from_dims([config.enc, *reversed(hidden), cols.stop - cols.start], hid, out, rng)
+        for cols, _ in blocks
+    ]
+    params = [p for net in encoders + decoders for p in net.parameters()]
     state = nn.AdamState.for_parameters(params, learning_rate)
-    enc_t = config.enc_split[0]
-    n = in_task.shape[0]
+    ends = list(itertools.accumulate(width for _, width in blocks))
+    code_cols = [slice(end - width, end) for (_, width), end in zip(blocks, ends)]
+    n = x_task.shape[0]
     shuffle_rng = np.random.default_rng(int(rng.integers(2**31)))
-    epoch_losses: list[tuple[float, float, float]] = []
+    epoch_losses: list[tuple[float, ...]] = []
     for _ in range(epochs):
         order = shuffle_rng.permutation(n)
-        tot = tot_t = tot_r = 0.0
+        totals = [0.0] * (len(blocks) + 1)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            zt, cache_et = encoder_task.forward_cache(in_task[idx])
-            zr, cache_er = encoder_rest.forward_cache(in_rest[idx])
-            z = np.concatenate([zt, zr], axis=1)
-            rt, cache_dt = decoder_task.forward_cache(z)
-            rr, cache_dr = decoder_rest.forward_cache(z)
-            t_t, t_r = tgt_task[idx], tgt_rest[idx]
-            loss_t = nn.mse_loss(rt, t_t)
-            loss_r = nn.mse_loss(rr, t_r)
-            grads_dt, dz_t = decoder_task.backward_cache(cache_dt, nn.mse_gradient(rt, t_t))
-            grads_dr, dz_r = decoder_rest.backward_cache(cache_dr, nn.mse_gradient(rr, t_r))
-            dz = dz_t + dz_r
-            grads_et, _ = encoder_task.backward_cache(cache_et, dz[:, :enc_t])
-            grads_er, _ = encoder_rest.backward_cache(cache_er, dz[:, enc_t:])
-            flat = [
-                g
-                for groups in (grads_et, grads_er, grads_dt, grads_dr)
-                for pair in groups
-                for g in pair
-            ]
-            nn.adam_step(state, params, flat)
-            tot += (loss_t + loss_r) * idx.size
-            tot_t += loss_t * idx.size
-            tot_r += loss_r * idx.size
-        epoch_losses.append((tot / n, tot_t / n, tot_r / n))
-    return MultiViewAutoencoder(
-        config, view, scaler_task, scaler_rest,
-        encoder_task, encoder_rest, decoder_task, decoder_rest, epoch_losses,
+            grads, losses = _step(encoders, decoders, code_cols,
+                                  [x[idx] for x in inputs], [t[idx] for t in targets])
+            nn.adam_step(state, params, grads)
+            for i, loss in enumerate([sum(losses), *losses]):
+                totals[i] += loss * idx.size
+        epoch_losses.append(tuple(total / n for total in totals))
+    return Autoencoder(
+        config, view, FeatureScaler.concat(scalers), encoders, decoders, epoch_losses
     )
 
 
-def encode(model, x_task, x_rest) -> np.ndarray:
-    """Latent code of one sample pair (or a batch of pairs)."""
-    return model.encode_pair(x_task, x_rest)
-
-
-def encode_subject(model, subject: SubjectRecord) -> LatentSubject:
-    """Encode every vertex of a subject into an (m, enc) latent matrix."""
-    return model.encode_subject(subject)
+def _step(encoders, decoders, code_cols, inputs, targets):
+    """Forward and backward pass over one batch; returns the gradients in
+    parameter order (encoders, then decoders) and each decoder's MSE.  The
+    caches die with the call, before the next batch's are built."""
+    codes, enc_caches = zip(*(e.forward_cache(x) for e, x in zip(encoders, inputs)))
+    z = np.concatenate(codes, axis=1)
+    recons, dec_caches = zip(*(d.forward_cache(z) for d in decoders))
+    losses = [nn.mse_loss(r, t) for r, t in zip(recons, targets)]
+    dec_grads, dzs = zip(*(
+        d.backward_cache(cache, nn.mse_gradient(r, t))
+        for d, cache, r, t in zip(decoders, dec_caches, recons, targets)
+    ))
+    dz = sum(dzs[1:], dzs[0])  # the first decoder's, then the others in order
+    enc_grads = [
+        e.backward_cache(cache, dz[:, cols])[0]
+        for e, cache, cols in zip(encoders, enc_caches, code_cols)
+    ]
+    grads = [g for net_grads in enc_grads + list(dec_grads) for pair in net_grads for g in pair]
+    return grads, losses
 
 
 # --- non-autoencoder representations ----------------------------------------
@@ -646,35 +495,15 @@ def load_representation(path):
         return PcaRepresentation(FeatureScaler.from_dict(header["scaler"]), model)
     if kind == "raw":
         return RawRepresentation(columns=header.get("columns"))
-    view = ViewSpec(**header["view"])
-    if kind == "mdae":
-        config = ArchitectureConfig(
-            kind="mdae",
-            enc=header["enc"],
-            hidden_dims=tuple(header["hidden_dims"]),
-            enc_split=tuple(header["enc_split"]),
-            hidden_activation=header["hidden_activation"],
-            output_activation=header["output_activation"],
-        )
-        return MultiViewAutoencoder(
-            config, view,
-            FeatureScaler.from_dict(header["scaler_task"]),
-            FeatureScaler.from_dict(header["scaler_rest"]),
-            blocks["encoder_task"], blocks["encoder_rest"],
-            blocks["decoder_task"], blocks["decoder_rest"],
-            epoch_losses=[],
-        )
-    if kind in ("monomodal-task", "monomodal-rest", "concat-ae"):
-        config = ArchitectureConfig(
-            kind=kind,
-            enc=header["enc"],
-            hidden_dims=tuple(header["hidden_dims"]),
-            hidden_activation=header["hidden_activation"],
-            output_activation=header["output_activation"],
-        )
-        return ConcatAutoencoder(
+    if kind in KINDS:
+        config = ArchitectureConfig(**{f.name: header[f.name] for f in fields(ArchitectureConfig)})
+        view = ViewSpec(**header["view"])
+        count = len(config.blocks(view))
+        return Autoencoder(
             config, view, FeatureScaler.from_dict(header["scaler"]),
-            blocks["encoder"], blocks["decoder"], epoch_losses=[],
+            [blocks[f"encoder{i}"] for i in range(count)],
+            [blocks[f"decoder{i}"] for i in range(count)],
+            epoch_losses=[],
         )
     raise ValueError(f"unknown representation kind {kind!r}")
 
@@ -691,16 +520,9 @@ class AutoencoderSpec:
     batch_size: int = 500
     learning_rate: float = 1e-3
 
-    def fit(self, subjects: list[SubjectRecord], seed: int):
-        data = stack_views(subjects)
-        if self.config.kind == "mdae":
-            return train_mdae(
-                data, self.config, seed,
-                epochs=self.epochs, batch_size=self.batch_size,
-                learning_rate=self.learning_rate,
-            )
-        return train_concat_ae(
-            data, self.config, seed,
+    def fit(self, subjects: list[SubjectRecord], seed: int) -> Autoencoder:
+        return train_autoencoder(
+            stack_views(subjects), self.config, seed,
             epochs=self.epochs, batch_size=self.batch_size,
             learning_rate=self.learning_rate,
         )

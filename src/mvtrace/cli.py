@@ -403,8 +403,11 @@ def cmd_sweep(args) -> int:
     for i, overrides in enumerate(grid):
         if not isinstance(overrides, dict):
             raise ConfigError(f"grid[{i}] must be an object of config overrides")
-    labels = [overrides.get("label") or _grid_label(cfg, overrides, i)
+    labels = [overrides.get("label") or _grid_label(overrides, i)
               for i, overrides in enumerate(grid)]
+    duplicates = sorted({label for label in labels if labels.count(label) > 1}, key=str)
+    if duplicates:
+        raise ConfigError(f"duplicate grid label(s): {duplicates}")
     out = Path(cfg["out"])
     entries = _run_points(cfg, grid, labels)
     _write_run_outputs(out, entries)
@@ -416,7 +419,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _grid_label(base: dict, overrides: dict, index: int) -> str:
+def _grid_label(overrides: dict, index: int) -> str:
     keys = [k for k in overrides if k != "label"]
     if not keys:
         return f"point{index}"
@@ -425,6 +428,8 @@ def _grid_label(base: dict, overrides: dict, index: int) -> str:
         v = overrides[k]
         if isinstance(v, (list, tuple)):
             v = "-".join(str(x) for x in v)
+        elif isinstance(v, dict):
+            v = json.dumps(v, sort_keys=True, separators=(",", ":"))
         parts.append(f"{k}={v}")
     return ",".join(parts)
 

@@ -320,16 +320,3 @@ def quadratic_form(laplacian: GraphLaplacian, values: np.ndarray) -> float:
         return 0.0
     diff = values[laplacian.edges[:, 0]] - values[laplacian.edges[:, 1]]
     return float(np.sum(diff * diff))
-
-
-def export_laplacian(laplacian: GraphLaplacian, path) -> None:
-    """Dump the Laplacian as coordinate-list text: one ``i j value`` line per
-    nonzero, sorted by (i, j)."""
-    coo = laplacian.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n"
-        for k in order
-        if coo.data[k] != 0.0
-    ]
-    Path(path).write_text("".join(lines))

@@ -8,17 +8,12 @@ this package, deterministically for a fixed seed.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 ACTIVATIONS = ("linear", "relu", "sigmoid")
-ACTIVATION_CODES = {"linear": 0, "relu": 1, "sigmoid": 2}
-CODE_ACTIVATIONS = {v: k for k, v in ACTIVATION_CODES.items()}
-
-MODEL_MAGIC = b"MVNN"
 
 
 def apply_activation(name: str, z: np.ndarray) -> np.ndarray:
@@ -162,14 +157,6 @@ class MLP:
             g = delta @ layer.weights.T
         return grads, g
 
-    def copy(self) -> "MLP":
-        return MLP(
-            [
-                DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
-                for l in self.layers
-            ]
-        )
-
 
 def _as_batch(x: np.ndarray, expected_dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -247,110 +234,3 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
         v += (1.0 - b2) * (g * g)
         p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
     return params
-
-
-def train_mlp(
-    mlp: MLP,
-    x: np.ndarray,
-    targets: np.ndarray,
-    *,
-    epochs: int,
-    batch_size: int,
-    learning_rate: float,
-    seed: int,
-) -> list[float]:
-    """Adam-train an MLP on (x, targets); returns per-epoch mean losses.
-
-    Samples are reshuffled every epoch from the seeded generator, so the
-    whole run is a pure function of (initial weights, data, config, seed).
-    """
-    x = _as_batch(x, mlp.input_dim)
-    targets = _as_batch(targets, mlp.output_dim)
-    if x.shape[0] != targets.shape[0]:
-        raise ValueError("x and targets disagree on sample count")
-    if x.shape[0] == 0:
-        raise ValueError("empty training data")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    rng = np.random.default_rng(seed)
-    params = mlp.parameters()
-    state = AdamState.for_parameters(params, learning_rate)
-    n = x.shape[0]
-    losses = []
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            xb, tb = x[idx], targets[idx]
-            out, cache = mlp.forward_cache(xb)
-            total += mse_loss(out, tb) * idx.size
-            layer_grads, _ = mlp.backward_cache(cache, mse_gradient(out, tb))
-            flat = [g for pair in layer_grads for g in pair]
-            adam_step(state, params, flat)
-        losses.append(total / n)
-    return losses
-
-
-# --- binary serialization ---------------------------------------------------
-#
-# Layout (all integers little-endian):
-#   magic 'MVNN' | version u32 | layer_count u32 |
-#   per layer: fan_in u32, fan_out u32, activation code u32,
-#              weights f64 row-major, biases f64
-#
-# Version 1 holds exactly one MLP in this layout.  Version 2 (see mvtrace.io)
-# prepends a JSON header and packs several named MLP payloads.
-
-
-def write_mlp_payload(fh, mlp: MLP) -> None:
-    fh.write(struct.pack("<I", len(mlp.layers)))
-    for layer in mlp.layers:
-        fh.write(
-            struct.pack(
-                "<III", layer.fan_in, layer.fan_out, ACTIVATION_CODES[layer.activation]
-            )
-        )
-        fh.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
-
-
-def read_mlp_payload(fh) -> MLP:
-    (layer_count,) = struct.unpack("<I", _read_exact(fh, 4))
-    layers = []
-    for _ in range(layer_count):
-        fan_in, fan_out, code = struct.unpack("<III", _read_exact(fh, 12))
-        if code not in CODE_ACTIVATIONS:
-            raise ValueError(f"unknown activation code {code}")
-        weights = np.frombuffer(
-            _read_exact(fh, 8 * fan_in * fan_out), dtype="<f8"
-        ).reshape(fan_in, fan_out).astype(np.float64)
-        bias = np.frombuffer(_read_exact(fh, 8 * fan_out), dtype="<f8").astype(np.float64)
-        layers.append(DenseLayer(weights, bias, CODE_ACTIVATIONS[code]))
-    return MLP(layers)
-
-
-def save_mlp(path, mlp: MLP) -> None:
-    """Write a single MLP as a version-1 MVNN file."""
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", 1))
-        write_mlp_payload(fh, mlp)
-
-
-def load_mlp(path) -> MLP:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4)
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: not an MVNN file (magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != 1:
-            raise ValueError(f"{path}: expected bare MLP (version 1), got {version}")
-        return read_mlp_payload(fh)
-
-
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated file: wanted {n} bytes, got {len(data)}")
-    return data

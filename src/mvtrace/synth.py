@@ -280,43 +280,6 @@ def generate(config: GeneratorConfig):
     return subjects, mesh, ground_truth
 
 
-def corrupt_view(
-    subjects: list[SubjectRecord],
-    which: str,
-    mode: str = "shuffle",
-    seed: int = 0,
-) -> list[SubjectRecord]:
-    """Destroy the information in one view while preserving its marginals.
-
-    ``shuffle`` permutes the chosen view across subjects; ``noise`` replaces
-    it with Gaussian noise matched to its per-feature mean and std.  Returns
-    new records; the input list is untouched.
-    """
-    if which not in ("task", "rest"):
-        raise ValueError("which must be 'task' or 'rest'")
-    if mode not in ("shuffle", "noise"):
-        raise ValueError("mode must be 'shuffle' or 'noise'")
-    rng = np.random.default_rng(seed)
-    views = [s.x_task if which == "task" else s.x_rest for s in subjects]
-    if mode == "shuffle":
-        order = rng.permutation(len(subjects))
-        new_views = [views[j].copy() for j in order]
-    else:
-        stacked = np.vstack(views)
-        mean = stacked.mean(axis=0)
-        std = stacked.std(axis=0)
-        new_views = [
-            mean + std * rng.standard_normal(v.shape) for v in views
-        ]
-    out = []
-    for s, v in zip(subjects, new_views):
-        if which == "task":
-            out.append(SubjectRecord(s.subject_id, v, s.x_rest.copy(), s.score))
-        else:
-            out.append(SubjectRecord(s.subject_id, s.x_task.copy(), v, s.score))
-    return out
-
-
 def write_dataset(directory, subjects, mesh, ground_truth: GroundTruth | None = None) -> Path:
     """Write the generator output using the dataset directory contract."""
     kwargs = {}

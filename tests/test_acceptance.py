@@ -19,7 +19,7 @@ from mvtrace.autoencoders import (
     OracleSpec,
     PcaSpec,
     RawSpec,
-    train_concat_ae,
+    train_autoencoder,
 )
 from mvtrace.cli import main as cli_main
 from mvtrace.mesh import build_laplacian, icosphere, quadratic_form
@@ -238,7 +238,7 @@ def test_criterion_8_linear_ae_matches_pca():
         data = rng.standard_normal((n, k)) @ basis.T * 2.0
         data += 0.15 * rng.standard_normal(data.shape)
         config = ArchitectureConfig(kind="concat-ae", enc=k, hidden_dims=())
-        model = train_concat_ae((data[:, :d_task], data[:, d_task:]), config,
+        model = train_autoencoder((data[:, :d_task], data[:, d_task:]), config,
                                 seed=7, epochs=600, batch_size=500, learning_rate=3e-3)
         ae_mse = model.reconstruction_mse(data[:, :d_task], data[:, d_task:])
         standardized = model.scaler.transform(data)

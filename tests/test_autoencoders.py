@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_views
 from mvtrace.autoencoders import (
+    KINDS,
     ArchitectureConfig,
     AutoencoderSpec,
     FeatureScaler,
@@ -10,14 +11,8 @@ from mvtrace.autoencoders import (
     PcaSpec,
     RawSpec,
     ViewSpec,
-    encode,
-    encode_subject,
     load_representation,
-    mdae_dims,
-    stack_dims,
-    table_architectures,
-    train_concat_ae,
-    train_mdae,
+    train_autoencoder,
 )
 from mvtrace.data import SubjectRecord
 from mvtrace.pca import fit_pca, reconstruction_mse
@@ -61,25 +56,27 @@ class TestConfigs:
     def test_three_layer_concat_row(self):
         # the showcased stacking: [D_concat, 200, 130, enc, 130, 200, D_concat]
         cfg = ArchitectureConfig(kind="concat-ae", enc=10, hidden_dims=(200, 130))
-        assert stack_dims(cfg, VIEW) == [54, 200, 130, 10, 130, 200, 54]
+        model = untrained(cfg)
+        assert widths(model.encoders[0]) + widths(model.decoders[0])[1:] == [
+            54, 200, 130, 10, 130, 200, 54
+        ]
 
     def test_mdae_dims_per_view(self):
         cfg = ArchitectureConfig(kind="mdae", enc=10, enc_split=(8, 2), hidden_dims=(140, 120))
-        dims = mdae_dims(cfg, VIEW)
-        assert dims["encoder_task"] == [24, 140, 120, 8]
-        assert dims["encoder_rest"] == [30, 140, 120, 2]
-        assert dims["decoder_task"] == [10, 120, 140, 24]
-        assert dims["decoder_rest"] == [10, 120, 140, 30]
+        model = untrained(cfg)
+        assert [widths(e) for e in model.encoders] == [[24, 140, 120, 8], [30, 140, 120, 2]]
+        assert [widths(d) for d in model.decoders] == [[10, 120, 140, 24], [10, 120, 140, 30]]
 
-    def test_catalog_constructible_and_complete(self):
-        # 15 single-stack rows plus the 4 per-view mdae realizations
-        cat = table_architectures(VIEW, enc=10)
-        assert len(cat) == 19
-        assert "ae-concat-3-200-130" in cat
-        assert stack_dims(cat["ae-concat-3-200-130"], VIEW) == [54, 200, 130, 10, 130, 200, 54]
-        kinds = {c.kind for c in cat.values()}
-        assert kinds == {"monomodal-task", "monomodal-rest", "concat-ae", "mdae"}
-        assert sum(1 for c in cat.values() if c.kind == "mdae") == 4
+
+def untrained(config):
+    """A model of ``config`` over VIEW with its initial weights."""
+    x_t, x_r = random_views(4, VIEW.d_task, VIEW.d_rest, seed=0)
+    return train_autoencoder((x_t, x_r), config, seed=0, epochs=0, batch_size=4,
+                             learning_rate=1e-3)
+
+
+def widths(mlp):
+    return [mlp.layers[0].fan_in] + [layer.fan_out for layer in mlp.layers]
 
 
 class TestScaler:
@@ -120,8 +117,8 @@ class TestConcatTraining:
         # enc = D_concat with linear maps can represent the identity
         x_t, x_r = random_views(400, 3, 3, seed=0)
         cfg = ArchitectureConfig(kind="concat-ae", enc=6, hidden_dims=())
-        model = train_concat_ae((x_t, x_r), cfg, seed=1, epochs=800,
-                                batch_size=500, learning_rate=3e-3)
+        model = train_autoencoder((x_t, x_r), cfg, seed=1, epochs=800,
+                                  batch_size=500, learning_rate=3e-3)
         # target space is standardized, so unit variance per feature
         assert model.reconstruction_mse(x_t, x_r) < 1e-4
 
@@ -132,29 +129,23 @@ class TestConcatTraining:
         data += 0.1 * rng.standard_normal(data.shape)
         x_t, x_r = data[:, :7], data[:, 7:]
         cfg = ArchitectureConfig(kind="concat-ae", enc=5, hidden_dims=())
-        model = train_concat_ae((x_t, x_r), cfg, seed=2, epochs=1500,
-                                batch_size=500, learning_rate=3e-3)
+        model = train_autoencoder((x_t, x_r), cfg, seed=2, epochs=1500,
+                                  batch_size=500, learning_rate=3e-3)
         standardized = model.scaler.transform(data)
         pca_mse = reconstruction_mse(fit_pca(standardized, 5), standardized)
         assert model.reconstruction_mse(x_t, x_r) <= 1.05 * pca_mse
 
-    def test_pair_list_input_accepted(self):
-        pairs = [(np.ones(3) * i, np.zeros(2)) for i in range(20)]
-        cfg = ArchitectureConfig(kind="concat-ae", enc=2, hidden_dims=())
-        model = train_concat_ae(pairs, cfg, seed=0, epochs=3, batch_size=8,
-                                learning_rate=1e-3)
-        assert model.encode_pair(np.ones(3), np.zeros(2)).shape == (2,)
-
     def test_empty_data_rejected(self):
         cfg = ArchitectureConfig(kind="concat-ae", enc=2)
         with pytest.raises(ValueError, match="empty"):
-            train_concat_ae([], cfg, seed=0)
+            train_autoencoder((np.zeros((0, 3)), np.zeros((0, 2))), cfg, seed=0,
+                              epochs=1, batch_size=4, learning_rate=1e-3)
 
     def test_monomodal_never_reads_other_view(self):
         x_t, x_r = random_views(300, 5, 4, seed=4)
         cfg = ArchitectureConfig(kind="monomodal-task", enc=3, hidden_dims=())
-        model = train_concat_ae((x_t, x_r), cfg, seed=5, epochs=10,
-                                batch_size=100, learning_rate=1e-3)
+        model = train_autoencoder((x_t, x_r), cfg, seed=5, epochs=10,
+                                  batch_size=100, learning_rate=1e-3)
         shuffled_rest = x_r[np.random.default_rng(0).permutation(len(x_r))]
         assert np.array_equal(
             model.encode_pair(x_t, x_r), model.encode_pair(x_t, shuffled_rest)
@@ -163,29 +154,29 @@ class TestConcatTraining:
     def test_epoch_losses_logged(self):
         x_t, x_r = random_views(100, 4, 3, seed=6)
         cfg = ArchitectureConfig(kind="concat-ae", enc=3, hidden_dims=(8,))
-        model = train_concat_ae((x_t, x_r), cfg, seed=0, epochs=12,
-                                batch_size=50, learning_rate=1e-3)
+        model = train_autoencoder((x_t, x_r), cfg, seed=0, epochs=12,
+                                  batch_size=50, learning_rate=1e-3)
         assert len(model.epoch_losses) == 12
-        assert model.epoch_losses[-1] < model.epoch_losses[0]
+        assert model.epoch_losses[-1][0] < model.epoch_losses[0][0]
 
 
 class TestMdaeTraining:
     def test_split_layout_task_first(self):
         x_t, x_r = random_views(200, 12, 5, seed=7)
         cfg = ArchitectureConfig(kind="mdae", enc=10, enc_split=(8, 2), hidden_dims=())
-        model = train_mdae((x_t, x_r), cfg, seed=1, epochs=5, batch_size=100,
-                           learning_rate=1e-3)
-        z = encode(model, x_t[0], x_r[0])
+        model = train_autoencoder((x_t, x_r), cfg, seed=1, epochs=5, batch_size=100,
+                                  learning_rate=1e-3)
+        z = model.encode_pair(x_t[0], x_r[0])
         assert z.shape == (10,)
-        z_task = model.encoder_task.forward(model.scaler_task.transform(x_t[:1]))[0]
+        z_task = model.encoders[0].forward(FeatureScaler.fit(x_t).transform(x_t[:1]))[0]
         assert np.array_equal(z[:8], z_task)
 
     def test_equal_views_converge_to_equal_losses(self):
         rng = np.random.default_rng(0)
         base = rng.standard_normal((1500, 12))
         cfg = ArchitectureConfig(kind="mdae", enc=6, enc_split=(3, 3), hidden_dims=())
-        model = train_mdae((base, base.copy()), cfg, seed=1, epochs=300,
-                           batch_size=500, learning_rate=3e-3)
+        model = train_autoencoder((base, base.copy()), cfg, seed=1, epochs=300,
+                                  batch_size=500, learning_rate=3e-3)
         _, loss_t, loss_r = model.epoch_losses[-1]
         assert abs(loss_t - loss_r) / max(loss_t, loss_r) < 0.10
 
@@ -193,71 +184,72 @@ class TestMdaeTraining:
         x_t = np.ones((200, 6))
         x_r = np.full((200, 4), 3.0)
         cfg = ArchitectureConfig(kind="mdae", enc=4, enc_split=(2, 2), hidden_dims=())
-        model = train_mdae((x_t, x_r), cfg, seed=0, epochs=300, batch_size=500,
-                           learning_rate=1e-2)
+        model = train_autoencoder((x_t, x_r), cfg, seed=0, epochs=300, batch_size=500,
+                                  learning_rate=1e-2)
         assert model.epoch_losses[-1][0] < 1e-6
 
-    def test_kind_mismatch_rejected(self):
-        cfg = ArchitectureConfig(kind="concat-ae", enc=4)
-        with pytest.raises(ValueError):
-            train_mdae((np.zeros((10, 3)), np.zeros((10, 3))), cfg, seed=0)
-        cfg = ArchitectureConfig(kind="mdae", enc=4)
-        with pytest.raises(ValueError):
-            train_concat_ae((np.zeros((10, 3)), np.zeros((10, 3))), cfg, seed=0)
-
     def test_catalog_mdae_losses_decrease(self):
-        # epoch-mean loss after training < first epoch, all catalog mdae rows
+        # epoch-mean loss after training < first epoch, every swept mdae stacking
         x_t, x_r = random_views(48, 24, 30, seed=8, latent_dim=4)
-        cat = table_architectures(VIEW, enc=5, hidden_activation="relu")
-        mdae_rows = {k: v for k, v in cat.items() if v.kind == "mdae"}
-        assert len(mdae_rows) == 4
-        for config in mdae_rows.values():
+        stacks = [hidden for kind, hidden in SWEPT_STACKS if kind == "mdae"]
+        assert len(stacks) == 4
+        for hidden in stacks:
+            config = ArchitectureConfig(kind="mdae", enc=5, hidden_dims=hidden,
+                                        hidden_activation="relu")
             for seed in (0, 1, 2):
-                model = train_mdae((x_t, x_r), config, seed=seed, epochs=300,
-                                   batch_size=500, learning_rate=1e-3)
+                model = train_autoencoder((x_t, x_r), config, seed=seed, epochs=300,
+                                          batch_size=500, learning_rate=1e-3)
                 assert model.epoch_losses[-1][0] < model.epoch_losses[0][0]
 
     def test_catalog_single_stack_losses_decrease(self):
         x_t, x_r = random_views(48, 24, 30, seed=9, latent_dim=4)
-        cat = table_architectures(VIEW, enc=5, hidden_activation="relu")
-        for config in (v for v in cat.values() if v.kind != "mdae"):
-            model = train_concat_ae((x_t, x_r), config, seed=0, epochs=300,
-                                    batch_size=500, learning_rate=1e-3)
-            assert model.epoch_losses[-1] < model.epoch_losses[0]
+        for kind, hidden in SWEPT_STACKS:
+            if kind == "mdae":
+                continue
+            config = ArchitectureConfig(kind=kind, enc=5, hidden_dims=hidden,
+                                        hidden_activation="relu")
+            model = train_autoencoder((x_t, x_r), config, seed=0, epochs=300,
+                                      batch_size=500, learning_rate=1e-3)
+            assert model.epoch_losses[-1][0] < model.epoch_losses[0][0]
+
+
+# (kind, hidden widths) of the stackings in the architecture sweep
+SWEPT_STACKS = [
+    *((kind, hidden) for kind in ("monomodal-task", "monomodal-rest")
+      for hidden in ((), (120,), (130,), (140, 120), (140, 130))),
+    *(("concat-ae", hidden) for hidden in ((), (150,), (200,), (250, 150), (200, 130))),
+    *(("mdae", hidden) for hidden in ((120,), (130,), (140, 120), (140, 130))),
+]
 
 
 @pytest.fixture(scope="module")
 def models():
     x_t, x_r = random_views(300, 6, 4, seed=10, latent_dim=3)
-    out = {}
-    for kind in ("monomodal-task", "monomodal-rest", "concat-ae"):
-        cfg = ArchitectureConfig(kind=kind, enc=4, hidden_dims=())
-        out[kind] = train_concat_ae((x_t, x_r), cfg, seed=0, epochs=5,
-                                    batch_size=100, learning_rate=1e-3)
-    cfg = ArchitectureConfig(kind="mdae", enc=4, enc_split=(2, 2), hidden_dims=())
-    out["mdae"] = train_mdae((x_t, x_r), cfg, seed=0, epochs=5,
-                             batch_size=100, learning_rate=1e-3)
-    return out
+    return {
+        kind: train_autoencoder((x_t, x_r), ArchitectureConfig(kind=kind, enc=4), seed=0,
+                                epochs=5, batch_size=100, learning_rate=1e-3)
+        for kind in KINDS
+    }
 
 
 class TestEncoding:
     @pytest.mark.parametrize("kind", ["monomodal-task", "monomodal-rest", "concat-ae", "mdae"])
     def test_latent_dimension_contract(self, models, kind):
-        z = encode(models[kind], np.zeros(6), np.zeros(4))
+        z = models[kind].encode_pair(np.zeros(6), np.zeros(4))
         assert z.shape == (4,)
 
     def test_encode_deterministic(self, models):
         x_t, x_r = np.ones(6), np.ones(4)
-        a = encode(models["mdae"], x_t, x_r)
-        b = encode(models["mdae"], x_t, x_r)
+        a = models["mdae"].encode_pair(x_t, x_r)
+        b = models["mdae"].encode_pair(x_t, x_r)
         assert np.array_equal(a, b)
 
     def test_encode_subject_rows_match_pointwise(self, models):
         subject = make_subject("s1", 20, seed=11)
-        latent = encode_subject(models["concat-ae"], subject)
+        latent = models["concat-ae"].encode_subject(subject)
         assert latent.z.shape == (20, 4)
         for j in (0, 5, 9, 13, 19):
-            row = encode(models["concat-ae"], subject.x_task[j], subject.x_rest[j])
+            row = models["concat-ae"].encode_pair(subject.x_task[j], subject.x_rest[j])
             assert np.allclose(latent.z[j], row, atol=1e-12)
 
     def test_vertex_permutation_equivariance(self, models):
@@ -266,38 +258,31 @@ class TestEncoding:
         permuted = SubjectRecord(
             "s2", subject.x_task[perm], subject.x_rest[perm], subject.score
         )
-        a = encode_subject(models["mdae"], subject).z
-        b = encode_subject(models["mdae"], permuted).z
+        a = models["mdae"].encode_subject(subject).z
+        b = models["mdae"].encode_subject(permuted).z
         assert np.array_equal(a[perm], b)
 
     def test_tiny_mesh_shape(self, models):
         subject = make_subject("s3", 3, seed=13)
-        assert encode_subject(models["mdae"], subject).z.shape == (3, 4)
+        assert models["mdae"].encode_subject(subject).z.shape == (3, 4)
 
 
 class TestPersistence:
-    def test_concat_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_roundtrip(self, tmp_path, kind):
         x_t, x_r = random_views(200, 5, 4, seed=14)
-        cfg = ArchitectureConfig(kind="concat-ae", enc=3, hidden_dims=(6,),
+        cfg = ArchitectureConfig(kind=kind, enc=4, hidden_dims=(6,),
+                                 enc_split=(3, 1) if kind == "mdae" else None,
                                  hidden_activation="relu", output_activation="sigmoid")
-        model = train_concat_ae((x_t, x_r), cfg, seed=0, epochs=4,
-                                batch_size=64, learning_rate=1e-3)
-        path = tmp_path / "concat.mvnn"
+        model = train_autoencoder((x_t, x_r), cfg, seed=0, epochs=4, batch_size=64,
+                                  learning_rate=1e-3)
+        path = tmp_path / "model.mvnn"
         model.save(path)
         loaded = load_representation(path)
-        assert loaded.config.kind == "concat-ae"
+        assert loaded.config == cfg
+        assert loaded.view == model.view
         assert np.array_equal(model.encode_pair(x_t, x_r), loaded.encode_pair(x_t, x_r))
-
-    def test_mdae_roundtrip(self, tmp_path):
-        x_t, x_r = random_views(200, 5, 4, seed=15)
-        cfg = ArchitectureConfig(kind="mdae", enc=4, enc_split=(3, 1), hidden_dims=())
-        model = train_mdae((x_t, x_r), cfg, seed=0, epochs=4, batch_size=64,
-                           learning_rate=1e-3)
-        path = tmp_path / "mdae.mvnn"
-        model.save(path)
-        loaded = load_representation(path)
-        assert loaded.config.enc_split == (3, 1)
-        assert np.array_equal(model.encode_pair(x_t, x_r), loaded.encode_pair(x_t, x_r))
+        assert model.reconstruction_mse(x_t, x_r) == loaded.reconstruction_mse(x_t, x_r)
 
     def test_pca_and_raw_roundtrip(self, tmp_path):
         subjects = [make_subject(f"s{i}", 10, seed=i) for i in range(4)]
@@ -305,14 +290,58 @@ class TestPersistence:
         path = tmp_path / "pca.mvnn"
         pca_model.save(path)
         loaded = load_representation(path)
-        z_a = encode_subject(pca_model, subjects[0]).z
-        z_b = encode_subject(loaded, subjects[0]).z
+        z_a = pca_model.encode_subject(subjects[0]).z
+        z_b = loaded.encode_subject(subjects[0]).z
         assert np.allclose(z_a, z_b, atol=1e-12)
 
         raw = RawSpec(columns=7).fit(subjects, seed=0)
         raw_path = tmp_path / "raw.mvnn"
         raw.save(raw_path)
         assert load_representation(raw_path).columns == 7
+
+
+# Recorded from the two per-kind trainers this loop replaced: each kind's final
+# epoch_losses and its codes of the first three samples.  Values, not bits,
+# are pinned, since the bits depend on the BLAS kernel and thread count.
+PINNED = {
+    "monomodal-task": (
+        (0.025412578591959924, 0.025412578591959924),
+        [[-1.8323763749815245, 0.6476017320521155, -2.8383033816658636, 0.781451934920143],
+         [0.0482820656021383, -0.30959807976277, 1.1709364522007992, -1.3550018223877114],
+         [0.8199630629700188, 0.05876731521543393, 1.2740200525510692, 0.10167827732512955]],
+    ),
+    "monomodal-rest": (
+        (0.03391378863634823, 0.03391378863634823),
+        [[0.5458880374266658, 0.33315060749805425, -0.3384273174929929, -1.3183250952768757],
+         [1.5886827103995909, 0.04600918279799513, -1.3696869123791209, -0.7128198375353453],
+         [-0.3722355286274229, 0.14030130719731357, 0.23657084344870297, 0.30052217920879787]],
+    ),
+    "concat-ae": (
+        (0.05136842414627676, 0.05136842414627676),
+        [[0.48901200132264955, 1.9885571568679623, 2.057007850895863, -0.9610321646334088],
+         [-0.298829991462269, -0.2627578491312896, -0.020022457630636238, 0.10700419239164013],
+         [0.2861336889080778, -0.3787683900243711, -1.256517108612193, 0.10064515890604095]],
+    ),
+    "mdae": (
+        (0.05856595966884408, 0.034358971565899656, 0.024206988102944433),
+        [[-2.9195149056328584, 1.1113264234522986, 0.29395298368389106, 1.2469389901311936],
+         [0.10106276756895603, -0.6595313723097685, 0.25813565021680496, 2.7534948747098063],
+         [0.8820555980112088, -0.7973037690912029, -0.024329686014469193, -0.4825668910451184]],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_training_matches_pinned_values(kind):
+    x_t, x_r = random_views(40, 5, 4, seed=21, latent_dim=3)
+    cfg = ArchitectureConfig(kind=kind, enc=4, hidden_dims=(8,),
+                             hidden_activation="linear", output_activation="sigmoid")
+    model = train_autoencoder((x_t, x_r), cfg, seed=3, epochs=3, batch_size=16,
+                              learning_rate=1e-2)
+    losses, codes = PINNED[kind]
+    assert len(model.epoch_losses[-1]) == len(losses)
+    assert np.allclose(model.epoch_losses[-1], losses, rtol=1e-12, atol=0.0)
+    assert np.allclose(model.encode_pair(x_t[:3], x_r[:3]), codes, rtol=1e-12, atol=0.0)
 
 
 class TestRepresentationSpecs:
@@ -324,28 +353,28 @@ class TestRepresentationSpecs:
         )
         model = spec.fit(subjects, seed=0)
         assert model.latent_dim == 2
-        assert encode_subject(model, subjects[0]).z.shape == (8, 2)
+        assert model.encode_subject(subjects[0]).z.shape == (8, 2)
 
     def test_pca_spec(self):
         subjects = [make_subject(f"s{i}", 12, seed=30 + i) for i in range(3)]
         model = PcaSpec(enc=4).fit(subjects, seed=0)
-        assert encode_subject(model, subjects[1]).z.shape == (12, 4)
+        assert model.encode_subject(subjects[1]).z.shape == (12, 4)
 
     def test_raw_spec_truncates_and_pads(self):
         subjects = [make_subject("s0", 5, seed=40)]
         model = RawSpec(columns=4).fit(subjects, seed=0)
-        assert encode_subject(model, subjects[0]).z.shape == (5, 4)
+        assert model.encode_subject(subjects[0]).z.shape == (5, 4)
         model = RawSpec(columns=15).fit(subjects, seed=0)
-        z = encode_subject(model, subjects[0]).z
+        z = model.encode_subject(subjects[0]).z
         assert z.shape == (5, 15)
         assert np.all(z[:, 10:] == 0.0)
         model = RawSpec().fit(subjects, seed=0)
-        assert encode_subject(model, subjects[0]).z.shape == (5, 10)
+        assert model.encode_subject(subjects[0]).z.shape == (5, 10)
 
     def test_oracle_spec_lookup(self):
         subjects = [make_subject("s0", 6, seed=50)]
         latents = {"s0": np.ones((6, 2))}
         model = OracleSpec(latents=latents).fit(subjects, seed=0)
-        assert np.array_equal(encode_subject(model, subjects[0]).z, np.ones((6, 2)))
+        assert np.array_equal(model.encode_subject(subjects[0]).z, np.ones((6, 2)))
         with pytest.raises(KeyError):
             model.encode_subject(make_subject("s9", 6, seed=51))

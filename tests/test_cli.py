@@ -301,6 +301,35 @@ class TestSweep:
         err = json.loads(capsys.readouterr().err)
         assert "grid" in err["message"]
 
+    def test_object_override_label_is_json(self, dataset_dir, tmp_path):
+        out = tmp_path / "s"
+        cfg = write_config(
+            tmp_path, "sweep.json",
+            {**SMALL_RUN, "dataset": str(dataset_dir), "out": str(out),
+             "grid": [{"fista": {"rel_tolerance": 1e-7, "max_iters": 300}},
+                      {"enc": 2, "hidden_dims": [4, 3]}]},
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        with open(out / "summary.csv") as fh:
+            labels = [r["config"] for r in csv.DictReader(fh)]
+        assert labels == ['fista={"max_iters":300,"rel_tolerance":1e-07}',
+                          "enc=2,hidden_dims=4-3"]
+
+    @pytest.mark.parametrize("grid", [
+        [{"alpha": 1.0, "label": "a"}, {"alpha": 2.0, "label": "a"}],
+        [{"alpha": 1.0}, {"alpha": 1.0}],
+    ], ids=["given", "generated"])
+    def test_duplicate_labels_are_config_error(self, dataset_dir, tmp_path, capsys, grid):
+        out = tmp_path / "s"
+        cfg = write_config(
+            tmp_path, "sweep.json",
+            {**SMALL_RUN, "dataset": str(dataset_dir), "out": str(out), "grid": grid},
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "duplicate" in err["message"]
+        assert not out.exists()
+
 
 PENALTY_GRID = [
     {"alpha": 2.0, "eta": 5.0},
@@ -399,6 +428,13 @@ class TestMapAndInspect:
         assert main(["inspect", target]) == 0
         out = capsys.readouterr().out
         assert "MVRL" in out and '"rows": 42' in out
+
+    def test_inspect_bad_file_prints_json_error(self, dataset_dir, tmp_path, capsys):
+        bad = tmp_path / "padded.mvrl"
+        bad.write_bytes((dataset_dir / "task_s000.mvrl").read_bytes() + b"\x00")
+        assert main(["inspect", str(bad)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "trailing" in err["message"]
 
     def test_env_log_level(self, dataset_dir, monkeypatch, capsys):
         monkeypatch.setenv("MVTRACE_LOG", "debug")

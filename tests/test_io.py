@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,23 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="truncated"):
             io.read_matrix(path)
 
+    def test_declared_size_past_end(self, tmp_path):
+        path = tmp_path / "m.mvrl"
+        path.write_bytes(b"MVRL" + struct.pack("<IQQ", 1, 2**62, 1) + np.zeros(1).tobytes())
+        with pytest.raises(ValueError, match="truncated"):
+            io.read_matrix(path)
+        with pytest.raises(ValueError, match="truncated"):
+            io.read_matrix_header(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "m.mvrl"
+        io.write_matrix(path, np.zeros((1, 1)))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            io.read_matrix(path)
+        with pytest.raises(ValueError, match="trailing"):
+            io.describe(path)
+
 
 class TestModelContainer:
     def test_roundtrip_header_and_blocks(self, tmp_path):
@@ -67,10 +86,10 @@ class TestModelContainer:
         assert np.array_equal(blocks["encoder"].forward(x), got_blocks["encoder"].forward(x))
 
     def test_version_gate(self, tmp_path):
-        rng = np.random.default_rng(0)
-        mlp = nn.MLP.from_dims([2, 2], "linear", "linear", rng)
+        # a version-1 file: one bare MLP block, no JSON header
         bare = tmp_path / "bare.mvnn"
-        nn.save_mlp(bare, mlp)
+        layer = struct.pack("<IIII", 1, 2, 2, 0) + np.zeros(6).tobytes()
+        bare.write_bytes(b"MVNN" + struct.pack("<I", 1) + layer)
         with pytest.raises(ValueError, match="version"):
             io.read_model_container(bare)
 
@@ -80,12 +99,6 @@ class TestModelContainer:
         assert io.describe(matrix_path)["rows"] == 2
 
         rng = np.random.default_rng(0)
-        bare = tmp_path / "bare.mvnn"
-        nn.save_mlp(bare, nn.MLP.from_dims([4, 2], "linear", "sigmoid", rng))
-        info = io.describe(bare)
-        assert info["version"] == 1
-        assert info["layers"] == [{"fan_in": 4, "fan_out": 2, "activation": "sigmoid"}]
-
         container = tmp_path / "c.mvnn"
         io.write_model_container(
             container, {"kind": "raw"}, {"enc": nn.MLP.from_dims([3, 1], "linear", "linear", rng)}
@@ -93,6 +106,25 @@ class TestModelContainer:
         info = io.describe(container)
         assert info["version"] == 2
         assert info["header"]["kind"] == "raw"
+        assert info["blocks"] == {"enc": [{"fan_in": 3, "fan_out": 1, "activation": "linear"}]}
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "c.mvnn"
+        io.write_model_container(path, {"kind": "raw"}, {})
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            io.read_model_container(path)
+
+    @pytest.mark.parametrize("offset", [8, 18, 27], ids=["header", "name", "fan_in"])
+    def test_declared_size_past_end(self, tmp_path, offset):
+        path = tmp_path / "m.mvnn"
+        mlp = nn.MLP([nn.DenseLayer(np.zeros((2, 1)), np.zeros(1), "linear")])
+        io.write_model_container(path, {}, {"m": mlp})
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + 4] = struct.pack("<I", 2**32 - 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="truncated"):
+            io.read_model_container(path)
 
     def test_describe_unknown_magic(self, tmp_path):
         path = tmp_path / "x.bin"

@@ -7,7 +7,6 @@ from mvtrace.mesh import (
     Mesh,
     OffFormatError,
     build_laplacian,
-    export_laplacian,
     grid_mesh,
     icosphere,
     load_mesh,
@@ -134,15 +133,6 @@ class TestLaplacian:
         with pytest.warns(UserWarning, match="connected components"):
             lap = build_laplacian(Mesh(positions, [(0, 1, 2), (3, 4, 5)]))
         assert lap.degrees.tolist() == [2] * 6
-
-    def test_export_coordinate_list(self, triangle_laplacian, tmp_path):
-        path = tmp_path / "lap.txt"
-        export_laplacian(triangle_laplacian, path)
-        assert path.read_text().splitlines() == [
-            "0 0 2", "0 1 -1", "0 2 -1",
-            "1 0 -1", "1 1 2", "1 2 -1",
-            "2 0 -1", "2 1 -1", "2 2 2",
-        ]
 
     def test_grid_mesh(self):
         mesh = grid_mesh(2, 3)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mvtrace import nn
+from mvtrace import io, nn
+from mvtrace.autoencoders import ArchitectureConfig, train_autoencoder
 
 ACTIVATION_PAIRS = [
     ("linear", "linear"),
@@ -156,13 +157,16 @@ class TestAdam:
 
 
 class TestTraining:
+    """The one training loop, ``autoencoders.train_autoencoder``."""
+
     def test_deterministic_for_fixed_seed(self):
         def train_once():
-            rng = np.random.default_rng(7)
-            mlp = nn.MLP.from_dims([4, 3, 4], "relu", "linear", rng)
             x = np.random.default_rng(1).standard_normal((64, 4))
-            nn.train_mlp(mlp, x, x, epochs=25, batch_size=16, learning_rate=1e-3, seed=99)
-            return [p.copy() for p in mlp.parameters()]
+            cfg = ArchitectureConfig(kind="concat-ae", enc=3, hidden_activation="relu")
+            model = train_autoencoder((x[:, :2], x[:, 2:]), cfg, seed=7, epochs=25,
+                                      batch_size=16, learning_rate=1e-3)
+            return [p.copy() for net in model.encoders + model.decoders
+                    for p in net.parameters()]
 
         first, second = train_once(), train_once()
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
@@ -172,32 +176,36 @@ class TestTraining:
         rng = np.random.default_rng(5)
         basis = np.linalg.qr(rng.standard_normal((10, 3)))[0]
         data = rng.standard_normal((800, 3)) @ basis.T
-        mlp = nn.MLP.from_dims([10, 3, 10], "linear", "linear", rng)
-        nn.train_mlp(mlp, data, data, epochs=800, batch_size=500, learning_rate=3e-3, seed=0)
-        assert nn.mse_loss(mlp.forward(data), data) < 1e-3 * data.var()
+        cfg = ArchitectureConfig(kind="concat-ae", enc=3)
+        model = train_autoencoder((data[:, :5], data[:, 5:]), cfg, seed=0, epochs=800,
+                                  batch_size=500, learning_rate=3e-3)
+        # targets are standardized, so unit variance per feature
+        assert model.reconstruction_mse(data[:, :5], data[:, 5:]) < 1e-3
 
     def test_loss_curve_length_and_decrease(self):
-        rng = np.random.default_rng(2)
-        mlp = nn.MLP.from_dims([6, 4, 6], "relu", "linear", rng)
-        x = rng.standard_normal((128, 6))
-        losses = nn.train_mlp(mlp, x, x, epochs=30, batch_size=32, learning_rate=1e-3, seed=3)
-        assert len(losses) == 30
-        assert losses[-1] < losses[0]
+        x = np.random.default_rng(2).standard_normal((128, 6))
+        cfg = ArchitectureConfig(kind="concat-ae", enc=4, hidden_activation="relu")
+        model = train_autoencoder((x[:, :3], x[:, 3:]), cfg, seed=3, epochs=30,
+                                  batch_size=32, learning_rate=1e-3)
+        assert len(model.epoch_losses) == 30
+        assert model.epoch_losses[-1][0] < model.epoch_losses[0][0]
 
     def test_empty_data_rejected(self):
-        mlp = nn.MLP.from_dims([3, 3], "linear", "linear", np.random.default_rng(0))
+        cfg = ArchitectureConfig(kind="concat-ae", enc=3)
         with pytest.raises(ValueError):
-            nn.train_mlp(mlp, np.zeros((0, 3)), np.zeros((0, 3)),
-                         epochs=1, batch_size=4, learning_rate=1e-3, seed=0)
+            train_autoencoder((np.zeros((0, 3)), np.zeros((0, 3))), cfg, seed=0,
+                              epochs=1, batch_size=4, learning_rate=1e-3)
 
 
 class TestSerialization:
+    """MLP blocks of the MVNN model container (``mvtrace.io``)."""
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         mlp = nn.MLP.from_dims([5, 4, 2], "relu", "sigmoid", rng)
         path = tmp_path / "model.mvnn"
-        nn.save_mlp(path, mlp)
-        loaded = nn.load_mlp(path)
+        io.write_model_container(path, {}, {"net": mlp})
+        loaded = io.read_model_container(path)[1]["net"]
         x = rng.standard_normal((6, 5))
         assert np.array_equal(mlp.forward(x), loaded.forward(x))
         assert [l.activation for l in loaded.layers] == ["relu", "sigmoid"]
@@ -205,17 +213,23 @@ class TestSerialization:
     def test_header_layout(self, tmp_path):
         mlp = nn.MLP([nn.DenseLayer(np.zeros((2, 1)), np.zeros(1), "relu")])
         path = tmp_path / "model.mvnn"
-        nn.save_mlp(path, mlp)
+        io.write_model_container(path, {}, {"m": mlp})
         blob = path.read_bytes()
         assert blob[:4] == b"MVNN"
-        assert int.from_bytes(blob[4:8], "little") == 1  # version
-        assert int.from_bytes(blob[8:12], "little") == 1  # layer count
-        assert int.from_bytes(blob[12:16], "little") == 2  # fan_in
-        assert int.from_bytes(blob[16:20], "little") == 1  # fan_out
-        assert int.from_bytes(blob[20:24], "little") == 1  # relu code
+        assert int.from_bytes(blob[4:8], "little") == 2  # version
+        assert int.from_bytes(blob[8:12], "little") == 2  # header length
+        assert blob[12:14] == b"{}"
+        assert int.from_bytes(blob[14:18], "little") == 1  # block count
+        assert int.from_bytes(blob[18:22], "little") == 1  # name length
+        assert blob[22:23] == b"m"
+        assert int.from_bytes(blob[23:27], "little") == 1  # layer count
+        assert int.from_bytes(blob[27:31], "little") == 2  # fan_in
+        assert int.from_bytes(blob[31:35], "little") == 1  # fan_out
+        assert int.from_bytes(blob[35:39], "little") == 1  # relu code
+        assert len(blob) == 39 + 8 * 2 + 8  # weights, then biases
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mvnn"
         path.write_bytes(b"JUNK" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
-            nn.load_mlp(path)
+            io.read_model_container(path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvtrace import nn
+from mvtrace.autoencoders import ArchitectureConfig, train_autoencoder
 from mvtrace.pca import fit_pca, pca_decode, pca_encode, reconstruction_mse
 
 
@@ -106,9 +106,11 @@ def test_pca_lower_bounds_linear_autoencoder():
     rng = np.random.default_rng(9)
     data = rng.standard_normal((600, 8)) @ rng.standard_normal((8, 8))
     k = 3
-    pca = fit_pca(data, k)
-    pca_mse = reconstruction_mse(pca, data)
-    mlp = nn.MLP.from_dims([8, k, 8], "linear", "linear", rng)
-    nn.train_mlp(mlp, data, data, epochs=600, batch_size=500, learning_rate=3e-3, seed=1)
-    ae_mse = nn.mse_loss(mlp.forward(data), data)
+    cfg = ArchitectureConfig(kind="concat-ae", enc=k)
+    model = train_autoencoder((data[:, :4], data[:, 4:]), cfg, seed=1, epochs=600,
+                              batch_size=500, learning_rate=3e-3)
+    # both in the autoencoder's standardized target space
+    standardized = model.scaler.transform(data)
+    pca_mse = reconstruction_mse(fit_pca(standardized, k), standardized)
+    ae_mse = model.reconstruction_mse(data[:, :4], data[:, 4:])
     assert ae_mse >= pca_mse - 1e-9

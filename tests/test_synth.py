@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from mvtrace import synth
-from mvtrace.autoencoders import PcaSpec
 from mvtrace.data import scores_array
-from mvtrace.evaluation import make_folds, run_cv
 from mvtrace.mesh import build_laplacian, quadratic_form
-from mvtrace.trace_regression import FistaConfig, RegularizationConfig
-
-FISTA = FistaConfig(max_iters=2000, rel_tolerance=1e-8)
-REG = RegularizationConfig(alpha=12, eta=20)
 
 
 class TestMeshSpec:
@@ -46,11 +40,6 @@ class TestConfigValidation:
 @pytest.fixture(scope="module")
 def default_run():
     return synth.generate(synth.GeneratorConfig(seed=0))
-
-
-@pytest.fixture(scope="module")
-def task_dominant_run():
-    return synth.generate(synth.GeneratorConfig(seed=0, loading_weights=(1.0, 0.4)))
 
 
 class TestGenerate:
@@ -138,56 +127,6 @@ class TestGenerate:
         a, _, _ = synth.generate(base)
         b, _, _ = synth.generate(loud)
         assert np.var([s.x_rest for s in b]) > 2.0 * np.var([s.x_rest for s in a])
-
-
-class TestCorruptView:
-    def test_inputs_untouched(self, task_dominant_run):
-        subjects, _, _ = task_dominant_run
-        before = subjects[0].x_task.copy()
-        synth.corrupt_view(subjects, "task", "noise", seed=0)
-        assert np.array_equal(subjects[0].x_task, before)
-
-    def test_shuffle_preserves_marginals(self, task_dominant_run):
-        subjects, _, _ = task_dominant_run
-        out = synth.corrupt_view(subjects, "rest", "shuffle", seed=1)
-        stacked_in = np.sort(np.vstack([s.x_rest for s in subjects]).ravel())
-        stacked_out = np.sort(np.vstack([s.x_rest for s in out]).ravel())
-        assert np.array_equal(stacked_in, stacked_out)
-
-    def test_noise_matches_moments(self, task_dominant_run):
-        subjects, _, _ = task_dominant_run
-        out = synth.corrupt_view(subjects, "rest", "noise", seed=2)
-        orig = np.vstack([s.x_rest for s in subjects])
-        new = np.vstack([s.x_rest for s in out])
-        assert np.abs(new.mean(axis=0) - orig.mean(axis=0)).max() < 0.15
-        assert np.abs(new.std(axis=0) / orig.std(axis=0) - 1.0).max() < 0.15
-
-    def test_bad_arguments(self, task_dominant_run):
-        subjects, _, _ = task_dominant_run
-        with pytest.raises(ValueError):
-            synth.corrupt_view(subjects, "anat", "noise")
-        with pytest.raises(ValueError):
-            synth.corrupt_view(subjects, "task", "scramble")
-
-    def test_corrupting_both_views_kills_prediction(self, task_dominant_run):
-        subjects, mesh, _ = task_dominant_run
-        lap = build_laplacian(mesh)
-        corrupted = synth.corrupt_view(
-            synth.corrupt_view(subjects, "task", "noise", seed=3), "rest", "noise", seed=4
-        )
-        plan = make_folds(40, 10, 0)
-        res = run_cv(corrupted, lap, PcaSpec(enc=4), REG, FISTA, plan, seed=0)
-        assert res.mean_r2 <= 0.1
-
-    def test_rest_corruption_mild_with_task_dominant_loadings(self, task_dominant_run):
-        subjects, mesh, _ = task_dominant_run
-        lap = build_laplacian(mesh)
-        plan = make_folds(40, 10, 0)
-        baseline = run_cv(subjects, lap, PcaSpec(enc=4), REG, FISTA, plan, seed=0)
-        corrupted = synth.corrupt_view(subjects, "rest", "noise", seed=5)
-        after = run_cv(corrupted, lap, PcaSpec(enc=4), REG, FISTA, plan, seed=0)
-        drop = (baseline.mean_r2 - after.mean_r2) / baseline.mean_r2
-        assert drop <= 0.20
 
 
 def test_write_dataset_contract(tmp_path):
