@@ -75,11 +75,7 @@ def save_dataset(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for s in subjects:
-        if s.vertex_count != mesh.vertex_count:
-            raise ValueError(
-                f"subject {s.subject_id} has {s.vertex_count} vertices, "
-                f"mesh has {mesh.vertex_count}"
-            )
+        _check_vertex_count(s, mesh)
     save_mesh(directory / "mesh.off", mesh)
     with open(directory / "subjects.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -104,11 +100,41 @@ def save_dataset(
     return directory
 
 
+def _check_vertex_count(subject: SubjectRecord, mesh: Mesh) -> None:
+    if subject.vertex_count != mesh.vertex_count:
+        raise ValueError(
+            f"subject {subject.subject_id} has {subject.vertex_count} vertices, "
+            f"mesh has {mesh.vertex_count}"
+        )
+
+
+def _check_loaded_subject(subject: SubjectRecord, mesh: Mesh, first: SubjectRecord) -> None:
+    """Reject a subject that no fold could use: wrong vertex count, view
+    widths unlike the first subject's, or a non-finite value or score."""
+    _check_vertex_count(subject, mesh)
+    widths = (subject.x_task.shape[1], subject.x_rest.shape[1])
+    first_widths = (first.x_task.shape[1], first.x_rest.shape[1])
+    if widths != first_widths:
+        raise ValueError(
+            f"subject {subject.subject_id} has {widths[0]} task and {widths[1]} rest "
+            f"columns, subject {first.subject_id} has {first_widths[0]} and "
+            f"{first_widths[1]}"
+        )
+    for view, values in (("task", subject.x_task), ("rest", subject.x_rest)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"subject {subject.subject_id} has non-finite {view} values")
+    if not np.isfinite(subject.score):
+        raise ValueError(f"subject {subject.subject_id} has a non-finite score")
+
+
 def load_dataset(directory):
     """Read a dataset directory.
 
     Returns (subjects, mesh, ground_truth) where ground_truth is None or a
     dict with keys ``beta_true`` (ndarray) and ``support`` (index array).
+    Raises ValueError for a subject whose vertex count differs from the
+    mesh's, whose view widths differ from the first subject's, or that holds
+    a non-finite value or score.
     """
     directory = Path(directory)
     mesh = load_mesh(directory / "mesh.off")
@@ -122,14 +148,14 @@ def load_dataset(directory):
             raise ValueError(f"{subjects_file}: expected header 'subject_id,score'")
         for row in reader:
             sid = row["subject_id"]
-            subjects.append(
-                SubjectRecord(
-                    subject_id=sid,
-                    x_task=io.read_matrix(directory / f"task_{sid}.mvrl"),
-                    x_rest=io.read_matrix(directory / f"rest_{sid}.mvrl"),
-                    score=float(row["score"]),
-                )
+            subject = SubjectRecord(
+                subject_id=sid,
+                x_task=io.read_matrix(directory / f"task_{sid}.mvrl"),
+                x_rest=io.read_matrix(directory / f"rest_{sid}.mvrl"),
+                score=float(row["score"]),
             )
+            _check_loaded_subject(subject, mesh, subjects[0] if subjects else subject)
+            subjects.append(subject)
     ground_truth = None
     gt_dir = directory / "ground_truth"
     if (gt_dir / "beta_true.mvrl").exists():

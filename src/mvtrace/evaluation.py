@@ -384,45 +384,6 @@ def sweep(
     return SweepResult(points=points, results=results)
 
 
-def tune_alpha(
-    dataset: RegressionDataset,
-    alphas,
-    reg: RegularizationConfig | None = None,
-    fista: FistaConfig | None = None,
-    *,
-    inner_folds: int = 5,
-    seed: int = 0,
-):
-    """Inner-CV grid search for the sparsity weight on an encoded dataset.
-
-    Splits the dataset rows into ``inner_folds`` folds, fits at each alpha on
-    the inner-training part and scores MSE on the inner-validation part.
-    Returns (best_alpha, mean-MSE per alpha).
-    """
-    alphas = list(alphas)
-    if not alphas:
-        raise ValueError("empty alpha grid")
-    base = reg or RegularizationConfig()
-    plan = make_folds(dataset.n_subjects, inner_folds, seed)
-    mean_mse = []
-    for alpha in alphas:
-        trial = RegularizationConfig(alpha=alpha, eta=base.eta, squared_rows=base.squared_rows)
-        fold_mse = []
-        for f in range(plan.n_folds):
-            tr, te = plan.train_indices(f), plan.test_indices(f)
-            inner = RegressionDataset(
-                latents=dataset.latents[tr],
-                scores=dataset.scores[tr],
-                laplacian=dataset.laplacian,
-            )
-            fit = fit_mfista(inner, trial, fista)
-            preds = [predict(fit.beta, dataset.latents[i]) for i in te]
-            fold_mse.append(mean_squared_error(dataset.scores[te], np.array(preds)))
-        mean_mse.append(float(np.mean(fold_mse)))
-    best = alphas[int(np.argmin(mean_mse))]
-    return best, dict(zip(alphas, mean_mse))
-
-
 # --- CSV export --------------------------------------------------------------
 
 FOLD_HEADER = ["config", "enc", "enc_t", "enc_r", "fold", "mse", "r2"]

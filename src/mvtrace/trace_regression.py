@@ -14,6 +14,14 @@ proximal gradient steps with momentum, where a candidate iterate is accepted
 only if it does not increase the objective.  A squared-row-norm variant of
 the penalty (differentiable, non-sparsifying) is available for comparison
 via ``RegularizationConfig.squared_rows``.
+
+The step is fixed at 1/L, where L = 2·λmax(XᵀX) + eta·(largest absolute row
+sum of L) bounds the gradient's Lipschitz constant from above: the data part
+is exact (``eigvalsh`` of the subject Gram matrix) and the Laplacian part is
+Gershgorin's bound.  An iteration makes one forward pass (predictions at the
+candidate, for its objective) and one adjoint pass (the gradient at the
+momentum point) over the stacked latents; the momentum point's predictions
+are combined from those already computed.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ logger = logging.getLogger(__name__)
 
 
 class DivergenceError(RuntimeError):
-    """Objective became non-finite (step policy misconfiguration)."""
+    """Objective became non-finite: the inputs hold huge values, or the
+    initial coefficients are not finite."""
 
 
 @dataclass
@@ -52,18 +61,12 @@ class RegularizationConfig:
 class FistaConfig:
     max_iters: int = 2000
     rel_tolerance: float = 1e-8
-    step_policy: str = "fixed-from-lipschitz"
-    backtracking_growth: float = 2.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tolerance <= 0:
             raise ValueError("rel_tolerance must be > 0")
-        if self.step_policy not in ("fixed-from-lipschitz", "backtracking"):
-            raise ValueError(f"unknown step_policy {self.step_policy!r}")
-        if self.backtracking_growth <= 1.0:
-            raise ValueError("backtracking_growth must be > 1")
 
 
 @dataclass
@@ -140,7 +143,11 @@ def predict_many(beta: np.ndarray, latents: np.ndarray) -> np.ndarray:
 
 
 def row_norms(beta: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.asarray(beta, dtype=np.float64), axis=1)
+    # einsum sums each row's squares without the m x d temporary of
+    # np.linalg.norm(axis=1), at half its cost; MFISTA calls this twice per
+    # iteration
+    beta = np.asarray(beta, dtype=np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", beta, beta))
 
 
 def penalty(beta: np.ndarray, reg: RegularizationConfig) -> float:
@@ -151,15 +158,37 @@ def penalty(beta: np.ndarray, reg: RegularizationConfig) -> float:
     return float(reg.alpha * np.sum(norms))
 
 
-def smooth_part(beta: np.ndarray, dataset: RegressionDataset, eta: float) -> float:
-    residual = dataset.scores - predict_many(beta, dataset.latents)
+def _smooth_laplacian(dataset: RegressionDataset, eta: float):
+    """The Laplacian matrix the smooth part uses: None when eta = 0."""
+    if eta <= 0:
+        return None
+    lap = _laplacian_matrix(dataset.laplacian)
+    if lap is None:
+        raise ValueError("eta > 0 requires a Laplacian on the dataset")
+    return lap
+
+
+def _smooth_value(beta, scores, x_beta, l_beta, eta: float) -> float:
+    """The smooth part from the products X·beta and L·beta (None if eta = 0)."""
+    residual = scores - x_beta
     value = float(residual @ residual)
-    if eta > 0:
-        lap = _laplacian_matrix(dataset.laplacian)
-        if lap is None:
-            raise ValueError("eta > 0 requires a Laplacian on the dataset")
-        value += 0.5 * eta * float(np.sum(beta * (lap @ beta)))
+    if l_beta is not None:
+        value += 0.5 * eta * float(np.sum(beta * l_beta))
     return value
+
+
+def _smooth_gradient(latents, scores, x_beta, l_beta, eta: float) -> np.ndarray:
+    """The smooth part's gradient from X·beta and L·beta: one adjoint pass."""
+    grad = -2.0 * np.tensordot(scores - x_beta, latents, axes=(0, 0))
+    if l_beta is not None:
+        grad = grad + eta * l_beta
+    return grad
+
+
+def smooth_part(beta: np.ndarray, dataset: RegressionDataset, eta: float) -> float:
+    lap = _smooth_laplacian(dataset, eta)
+    return _smooth_value(beta, dataset.scores, predict_many(beta, dataset.latents),
+                         None if lap is None else lap @ beta, eta)
 
 
 def objective(beta: np.ndarray, dataset: RegressionDataset, reg: RegularizationConfig) -> float:
@@ -175,14 +204,10 @@ def smooth_gradient(beta: np.ndarray, dataset: RegressionDataset, eta: float) ->
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != dataset.shape:
         raise ValueError(f"beta shape {beta.shape} != dataset shape {dataset.shape}")
-    residual = dataset.scores - predict_many(beta, dataset.latents)
-    grad = -2.0 * np.tensordot(residual, dataset.latents, axes=(0, 0))
-    if eta > 0:
-        lap = _laplacian_matrix(dataset.laplacian)
-        if lap is None:
-            raise ValueError("eta > 0 requires a Laplacian on the dataset")
-        grad = grad + eta * (lap @ beta)
-    return grad
+    lap = _smooth_laplacian(dataset, eta)
+    return _smooth_gradient(dataset.latents, dataset.scores,
+                            predict_many(beta, dataset.latents),
+                            None if lap is None else lap @ beta, eta)
 
 
 def prox_group(beta: np.ndarray, threshold: float) -> np.ndarray:
@@ -216,37 +241,22 @@ def _prox(beta: np.ndarray, threshold: float, reg: RegularizationConfig) -> np.n
     return prox_group(beta, threshold)
 
 
-def lipschitz_constant(
-    dataset: RegressionDataset, eta: float, *, iterations: int = 50, seed: int = 0
-) -> float:
-    """Estimate of the smooth-part Lipschitz constant by power iteration:
-    2 * lambda_max(sum_i vec(Z_i)vec(Z_i)ᵀ) + eta * lambda_max(L)."""
-    rng = np.random.default_rng(seed)
+def lipschitz_constant(dataset: RegressionDataset, eta: float) -> float:
+    """Upper bound on the Lipschitz constant of the smooth part's gradient.
+
+    The data term contributes 2·λmax(XᵀX) exactly, with X the n × (m·d)
+    matrix of flattened latents; ``eigvalsh`` reads it from the n × n
+    subject Gram matrix XXᵀ, which has the same nonzero eigenvalues.
+    The Laplacian term contributes eta times Gershgorin's bound on λmax(L),
+    the largest absolute row sum (2·max degree for an unweighted mesh).
+    """
     n = dataset.n_subjects
     flat = dataset.latents.reshape(n, -1)
-    v = rng.standard_normal(flat.shape[1])
-    v /= np.linalg.norm(v)
-    lam_data = 0.0
-    for _ in range(iterations):
-        w = flat.T @ (flat @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            lam_data = 0.0
-            break
-        lam_data = norm
-        v = w / norm
+    lam_data = max(float(np.linalg.eigvalsh(flat @ flat.T)[-1]), 0.0)
     lam_lap = 0.0
     lap = _laplacian_matrix(dataset.laplacian)
     if eta > 0 and lap is not None and lap.shape[0] > 0:
-        u = rng.standard_normal(lap.shape[0])
-        u /= np.linalg.norm(u)
-        for _ in range(iterations):
-            w = lap @ u
-            norm = np.linalg.norm(w)
-            if norm == 0:
-                break
-            lam_lap = norm
-            u = w / norm
+        lam_lap = float(abs(lap).sum(axis=1).max())
     return 2.0 * lam_data + eta * lam_lap
 
 
@@ -264,8 +274,6 @@ def fit_mfista(
     reg: RegularizationConfig | None = None,
     fista: FistaConfig | None = None,
     init: np.ndarray | None = None,
-    *,
-    seed: int = 0,
 ) -> FitResult:
     """Monotone FISTA from a zero (or given) initial coefficient matrix.
 
@@ -274,7 +282,15 @@ def fit_mfista(
     exceed the incumbent's; otherwise the incumbent is kept and only the
     momentum point moves through the candidate.  The returned objective
     sequence (incumbent value per iteration, starting at the initial point)
-    is therefore nonincreasing by construction.
+    is therefore nonincreasing by construction.  The step is 1/L for the
+    upper bound L of ``lipschitz_constant``.
+
+    Each iteration reads the latents twice: one adjoint pass for the
+    gradient at the momentum point y and one forward pass for the
+    candidate's objective.  The predictions X·beta of the incumbent and the
+    candidate are kept, and X·y follows from them by the same momentum
+    combination that forms y, since X is linear.  The sparse products L·y
+    and L·z are computed afresh.
 
     Stops when the relative objective decrease over a 10-iteration window
     falls below ``rel_tolerance``, or at ``max_iters`` (then
@@ -289,49 +305,48 @@ def fit_mfista(
     x = np.zeros((m, d)) if init is None else np.array(init, dtype=np.float64)
     if x.shape != (m, d):
         raise ValueError(f"init shape {x.shape} != dataset shape {(m, d)}")
+    latents, scores, eta = dataset.latents, dataset.scores, reg.eta
+    lap = _smooth_laplacian(dataset, eta)
 
-    backtracking = fista.step_policy == "backtracking"
-    if backtracking:
-        lipschitz = 1.0
-    else:
-        lipschitz = max(lipschitz_constant(dataset, reg.eta, seed=seed), 1e-12)
-    step = 1.0 / lipschitz
+    def laplacian_times(beta):
+        return None if lap is None else lap @ beta
 
-    y = x.copy()
-    t = 1.0
-    fx = objective(x, dataset, reg)
+    def value(beta, x_beta):
+        return (_smooth_value(beta, scores, x_beta, laplacian_times(beta), eta)
+                + penalty(beta, reg))
+
+    step = 1.0 / max(lipschitz_constant(dataset, eta), 1e-12)
+
+    # px, pz, py: the n predictions X·x, X·z, X·y
+    px = predict_many(x, latents)
+    fx = value(x, px)
     if not np.isfinite(fx):
         raise DivergenceError(f"objective non-finite at the initial point: {fx}")
+    y, py = x, px
+    t = 1.0
     objectives = [fx]
     accepted = [fx]
     converged = False
     iterations = 0
     for k in range(fista.max_iters):
-        grad = smooth_gradient(y, dataset, reg.eta)
-        if backtracking:
-            f_y = smooth_part(y, dataset, reg.eta)
-            while True:
-                z = _prox(y - step * grad, step * reg.alpha, reg)
-                diff = z - y
-                quad = f_y + float(np.sum(grad * diff)) + float(np.sum(diff * diff)) / (2 * step)
-                if smooth_part(z, dataset, reg.eta) <= quad + 1e-12 * max(abs(quad), 1.0):
-                    break
-                lipschitz *= fista.backtracking_growth
-                step = 1.0 / lipschitz
-        else:
-            z = _prox(y - step * grad, step * reg.alpha, reg)
-        fz = objective(z, dataset, reg)
+        grad = _smooth_gradient(latents, scores, py, laplacian_times(y), eta)
+        z = _prox(y - step * grad, step * reg.alpha, reg)
+        pz = predict_many(z, latents)
+        fz = value(z, pz)
         if not np.isfinite(fz):
             raise DivergenceError(
-                f"objective diverged at iteration {k}; check step_policy"
+                f"objective non-finite at iteration {k}: the inputs hold "
+                "non-finite or overflowing values"
             )
-        x_prev, fx_prev = x, fx
-        if fz <= fx_prev:
-            x, fx = z, fz
+        x_prev, px_prev = x, px
+        if fz <= fx:
+            x, px, fx = z, pz, fz
             accepted.append(fx)
         # else keep the incumbent; momentum still moves through z below
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x + (t / t_next) * (z - x) + ((t - 1.0) / t_next) * (x - x_prev)
+        a, b = t / t_next, (t - 1.0) / t_next
+        y = x + a * (z - x) + b * (x - x_prev)
+        py = px + a * (pz - px) + b * (px - px_prev)
         t = t_next
         objectives.append(fx)
         iterations = k + 1

@@ -1,8 +1,11 @@
 import csv
 import json
+import shutil
 
+import numpy as np
 import pytest
 
+from mvtrace import evaluation, io
 from mvtrace.autoencoders import AutoencoderSpec
 from mvtrace.cli import main
 from mvtrace.data import load_dataset
@@ -222,6 +225,37 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "fold" in err["message"]
+
+    def test_removed_step_policy_is_config_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path, "run.json",
+            {**SMALL_RUN, "fista": {"max_iters": 400, "step_policy": "backtracking"},
+             "dataset": str(dataset_dir), "out": str(out)},
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "step_policy" in err["message"]
+        assert not out.exists()
+
+    def test_non_finite_input_rejected_before_any_fold(self, dataset_dir, tmp_path,
+                                                       capsys, monkeypatch):
+        bad = tmp_path / "bad"
+        shutil.copytree(dataset_dir, bad)
+        sid = load_dataset(dataset_dir)[0][5].subject_id
+        values = io.read_matrix(bad / f"task_{sid}.mvrl")
+        values[3, 2] = np.nan
+        io.write_matrix(bad / f"task_{sid}.mvrl", values)
+        folds = []
+        monkeypatch.setattr(evaluation, "run_fold", lambda *a, **k: folds.append(a))
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "run.json",
+                           {**SMALL_RUN, "dataset": str(bad), "out": str(out)})
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": f"subject {sid} has non-finite task values"}
+        assert folds == [] and not out.exists()
 
     def test_leave_one_out(self, dataset_dir, tmp_path):
         # one subject per test fold: R² is undefined there, its cells blank

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvtrace import io
 from mvtrace.data import (
     LatentSubject,
     SubjectRecord,
@@ -87,3 +88,42 @@ def test_missing_subjects_csv(tmp_path):
     (tmp_path / "ds" / "subjects.csv").unlink()
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path / "ds")
+
+
+class TestLoadRejectsBadSubjects:
+    """load_dataset names the subject a fold could not use."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        mesh = icosphere(0)
+        save_dataset(tmp_path / "ds", make_subjects(3, mesh.vertex_count, 3, 2), mesh)
+        return tmp_path / "ds"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_view_value(self, saved, bad):
+        values = io.read_matrix(saved / "rest_s001.mvrl")
+        values[4, 1] = bad
+        io.write_matrix(saved / "rest_s001.mvrl", values)
+        with pytest.raises(ValueError, match="s001 has non-finite rest values"):
+            load_dataset(saved)
+
+    def test_non_finite_score(self, saved):
+        text = (saved / "subjects.csv").read_text().splitlines()
+        sid, _ = text[2].split(",")
+        text[2] = f"{sid},nan"
+        (saved / "subjects.csv").write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=f"{sid} has a non-finite score"):
+            load_dataset(saved)
+
+    def test_vertex_count_differs_from_mesh(self, saved):
+        rng = np.random.default_rng(1)
+        io.write_matrix(saved / "task_s002.mvrl", rng.standard_normal((11, 3)))
+        io.write_matrix(saved / "rest_s002.mvrl", rng.standard_normal((11, 2)))
+        with pytest.raises(ValueError, match="s002 has 11 vertices, mesh has 12"):
+            load_dataset(saved)
+
+    def test_view_width_differs_from_first_subject(self, saved):
+        io.write_matrix(saved / "task_s001.mvrl", np.zeros((12, 4)))
+        with pytest.raises(ValueError, match="s001 has 4 task and 2 rest columns, "
+                                             "subject s000 has 3 and 2"):
+            load_dataset(saved)

@@ -16,7 +16,7 @@ from mvtrace.autoencoders import (
 )
 from mvtrace.data import SubjectRecord
 from mvtrace.mesh import build_laplacian
-from mvtrace.trace_regression import FistaConfig, RegressionDataset, RegularizationConfig
+from mvtrace.trace_regression import FistaConfig, RegularizationConfig
 
 FISTA = FistaConfig(max_iters=2000, rel_tolerance=1e-8)
 
@@ -344,17 +344,3 @@ class TestSweepAndCsv:
             rows = list(csv.reader(fh))
         assert rows[0] == ["vertex", "t", "significant"]
         assert len(rows) == 4
-
-
-def test_tune_alpha_returns_grid_member(planted):
-    subjects, lap, _ = planted
-    model = PcaSpec(enc=4).fit(subjects[:20], seed=0)
-    latents = np.stack([model.encode_subject(s).z for s in subjects[:20]])
-    latents = (latents - latents.mean((0, 1))) / latents.std((0, 1))
-    ds = RegressionDataset(latents, np.array([s.score for s in subjects[:20]]), lap)
-    alphas = [1.0, 10.0, 100.0]
-    best, table = ev.tune_alpha(ds, alphas, RegularizationConfig(alpha=1, eta=20),
-                                FISTA, inner_folds=4, seed=0)
-    assert best in alphas
-    assert set(table) == set(alphas)
-    assert all(np.isfinite(v) for v in table.values())
