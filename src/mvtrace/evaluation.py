@@ -96,24 +96,30 @@ class FoldResult:
 @dataclass
 class CvResult:
     """Fold results with fold means and standard errors.  The R² figures
-    average the folds where R² is defined; they are None if there is none."""
+    average the folds where R² is defined; they are None if there is none.
+    ``pooled_r2`` is the R² of every out-of-fold prediction taken together
+    (None when undefined), which small test folds do not swing."""
 
     folds: list[FoldResult]
     mean_mse: float
     stderr_mse: float
     mean_r2: float | None
     stderr_r2: float | None
+    pooled_r2: float | None
 
     @classmethod
     def from_folds(cls, folds: list[FoldResult]) -> "CvResult":
         mses = np.array([f.mse for f in folds])
         r2s = np.array([f.r2 for f in folds if f.r2 is not None])
+        pooled = [p for f in folds for p in f.predictions]
         return cls(
             folds=folds,
             mean_mse=float(mses.mean()),
             stderr_mse=_stderr(mses),
             mean_r2=float(r2s.mean()) if len(r2s) else None,
             stderr_r2=_stderr(r2s) if len(r2s) else None,
+            pooled_r2=_defined_r_squared(np.array([p[1] for p in pooled]),
+                                         np.array([p[2] for p in pooled])),
         )
 
     @property
@@ -151,7 +157,10 @@ def run_fold(
     ``penalties``, a list of (reg, fista) pairs, replaces ``reg`` and
     ``fista``: the representation is fit and every subject encoded once,
     then the regression is fit and scored once per pair, and the
-    FoldResults come back as a list in pair order.
+    FoldResults come back as a list in pair order.  The pairs are solved as
+    a warm-started path, from the largest alpha to the smallest (a stable
+    sort, so equal alphas keep list order), each fit starting from the
+    previous fit's beta whatever its eta; the first fit starts from zero.
     """
     single = penalties is None
     if single:
@@ -164,13 +173,19 @@ def run_fold(
         latent_mean = train_latents.mean(axis=(0, 1))
         latent_std = train_latents.std(axis=(0, 1))
         latent_std = np.where(latent_std < 1e-12, 1.0, latent_std)
-        train_latents = (train_latents - latent_mean) / latent_std
+        train_latents -= latent_mean  # in place: the stack is a fresh array
+        train_latents /= latent_std
     dataset = RegressionDataset(
         latents=train_latents,
         scores=scores_array(train_subjects),
         laplacian=laplacian,
     )
-    fits = [fit_mfista(dataset, r, f) for r, f in penalties]
+    penalties = [(r or RegularizationConfig(), f) for r, f in penalties]
+    fits = [None] * len(penalties)
+    beta = None
+    for i in sorted(range(len(penalties)), key=lambda i: -penalties[i][0].alpha):
+        fits[i] = fit_mfista(dataset, *penalties[i], init=beta)
+        beta = fits[i].beta
     # one test subject's latents at a time, scored against every fit
     predictions = [[] for _ in fits]
     for i in test_idx:
@@ -389,7 +404,7 @@ def sweep(
 FOLD_HEADER = ["config", "enc", "enc_t", "enc_r", "fold", "mse", "r2"]
 SUMMARY_HEADER = [
     "config", "enc", "enc_t", "enc_r",
-    "mean_mse", "stderr_mse", "mean_r2", "stderr_r2",
+    "mean_mse", "stderr_mse", "mean_r2", "stderr_r2", "pooled_r2",
 ]
 
 
@@ -417,7 +432,8 @@ def write_fold_csv(path, entries: list[tuple[SweepPoint, CvResult]]) -> None:
 
 
 def write_summary_csv(path, entries: list[tuple[SweepPoint, CvResult]]) -> None:
-    """One row per config with fold means and standard errors."""
+    """One row per config with fold means and standard errors, and the
+    pooled out-of-fold R²."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
@@ -426,7 +442,7 @@ def write_summary_csv(path, entries: list[tuple[SweepPoint, CvResult]]) -> None:
             writer.writerow(
                 [point.label, enc, enc_t, enc_r,
                  _fmt(result.mean_mse), _fmt(result.stderr_mse),
-                 _fmt(result.mean_r2), _fmt(result.stderr_r2)]
+                 _fmt(result.mean_r2), _fmt(result.stderr_r2), _fmt(result.pooled_r2)]
             )
 
 

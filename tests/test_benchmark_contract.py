@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps program functions by name and reads the loss
 curve off fitted models.  A refactor that drops a wrapped name, or changes
 the shape of ``epoch_losses``, only turns per-layer metrics into ``None``
-there; these tests make it fail here instead.  ``spans.py`` is loaded
+there; these tests make it fail here instead.  The same holds for the
+fields of ``FitResult`` that the tracer counts.  ``spans.py`` is loaded
 read-only from its file.
 """
 
@@ -11,6 +12,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mvtrace.cli  # noqa: F401 - imports every module the tracer wraps
@@ -47,3 +49,23 @@ def test_epoch_losses_are_total_then_per_decoder(kind):
         assert type(losses) is tuple and len(losses) == 1 + decoders
         assert all(type(v) is float for v in losses)
         assert losses[0] == pytest.approx(sum(losses[1:]), rel=1e-12)
+
+
+def test_mfista_counts_reach_the_tracer():
+    # spans._after_mfista reads FitResult.iterations and .converged into
+    # trace_regression.mfista_iters and fits_not_converged
+    from mvtrace import trace_regression as tr
+
+    spans = load_spans()
+    rng = np.random.default_rng(0)
+    dataset = tr.RegressionDataset(rng.standard_normal((6, 4, 2)), rng.standard_normal(6))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        fit = tr.fit_mfista(dataset, tr.RegularizationConfig(alpha=0.1, eta=0.0),
+                            tr.FistaConfig(max_iters=3))
+    finally:
+        tracer.uninstall()
+    assert type(fit.iterations) is int and type(fit.converged) is bool
+    assert tracer.counters == {"trace_regression.iterations": fit.iterations,
+                               "trace_regression.not_converged": 1}

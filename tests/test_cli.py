@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import assert_near_tight_solve, recorded_solves
 from mvtrace import evaluation, io
 from mvtrace.autoencoders import AutoencoderSpec
 from mvtrace.cli import main
@@ -276,6 +277,29 @@ class TestRun:
         assert float(summary["mean_mse"]) > 0
         assert len(list(out.glob("beta_fold*.mvrl"))) == 12
 
+    @pytest.mark.parametrize("folds", [4, 12])
+    def test_summary_pooled_r2(self, dataset_dir, tmp_path, folds):
+        # R² of all out-of-fold predictions together: 1 - SSE / SS_tot over
+        # the cohort, each subject scored once, by the fold that held it out
+        out = tmp_path / "pooled"
+        cfg = write_config(
+            tmp_path, "run.json",
+            {**SMALL_RUN, "cv": {"folds": folds, "seed": 7},
+             "dataset": str(dataset_dir), "out": str(out)},
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        subjects, _, _ = load_dataset(dataset_dir)
+        scores = np.array([s.score for s in subjects])
+        plan = evaluation.make_folds(len(subjects), folds, 7)
+        with open(out / "folds.csv") as fh:
+            sse = sum(float(r["mse"]) * len(plan.test_indices(int(r["fold"])))
+                      for r in csv.DictReader(fh))
+        with open(out / "summary.csv") as fh:
+            (summary,) = list(csv.DictReader(fh))
+        expect = 1.0 - sse / float(np.sum((scores - scores.mean()) ** 2))
+        assert float(summary["pooled_r2"]) == pytest.approx(expect, rel=1e-9)
+        assert summary["mean_r2"] != summary["pooled_r2"]
+
     def test_unconverged_fits_reported_once(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "run.json",
@@ -419,18 +443,32 @@ class TestSweepReuse:
             labels = [r["config"] for r in csv.DictReader(fh)]
         assert labels == ["enc=2", "alpha=1.0,enc=3", "enc=2,eta=1.0"]
 
-    def test_cells_match_single_runs(self, dataset_dir, tmp_path):
+    def test_cells_match_single_runs(self, dataset_dir, tmp_path, monkeypatch):
+        solves = recorded_solves(monkeypatch)
         swept = self.sweep(dataset_dir, tmp_path, "swept")
         with open(swept / "summary.csv") as fh:
             labels = [r["config"] for r in csv.DictReader(fh)]
-        for i, (label, point) in enumerate(zip(labels, PENALTY_GRID)):
-            out = tmp_path / f"run{i}"
-            cfg = write_config(
-                tmp_path, f"run{i}.json",
-                {**AE_RUN, **point, "dataset": str(dataset_dir), "out": str(out)},
-            )
-            assert main(["run", "--config", str(cfg)]) == 0
-            assert fold_cells(swept, label) == fold_cells(out, "concat-ae")
+        # each fold solves the strongest alpha first, from zero, as a run does
+        out = tmp_path / "run0"
+        cfg = write_config(
+            tmp_path, "run0.json",
+            {**AE_RUN, **PENALTY_GRID[0], "dataset": str(dataset_dir), "out": str(out)},
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert fold_cells(swept, labels[0]) == fold_cells(out, "concat-ae")
+        # the weaker points start from the previous point's beta
+        warm = [s for s in solves[:12] if s[3] is not None]
+        assert len(warm) == 8
+        for dataset, reg, fista, _, fit in warm:
+            assert_near_tight_solve(dataset, reg, fista, fit.beta)
+
+    def test_reversed_grid_gives_same_cells(self, dataset_dir, tmp_path):
+        labels = [f"p{i}" for i in range(len(PENALTY_GRID))]
+        grid = [{**point, "label": label} for point, label in zip(PENALTY_GRID, labels)]
+        forward = self.sweep(dataset_dir, tmp_path, "forward", grid=grid)
+        backward = self.sweep(dataset_dir, tmp_path, "backward", grid=grid[::-1])
+        for label in labels:
+            assert fold_cells(forward, label) == fold_cells(backward, label)
 
     def test_parallel_folds_match_sequential(self, dataset_dir, tmp_path):
         seq = self.sweep(dataset_dir, tmp_path, "seq", jobs=1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_near_tight_solve, recorded_solves
 from mvtrace import evaluation as ev
 from mvtrace import synth
 from mvtrace.autoencoders import (
@@ -134,6 +135,17 @@ class TestRunCv:
         )
         assert all(len(f.predictions) == len(plan.test_indices(f.fold_id)) for f in res.folds)
 
+    def test_pooled_r2_over_every_prediction(self, planted):
+        subjects, lap, _ = planted
+        plan = ev.make_folds(40, 10, seed=3)
+        res = ev.run_cv(subjects, lap, PcaSpec(enc=4),
+                        RegularizationConfig(alpha=12, eta=20), FISTA, plan, seed=3)
+        rows = [p for f in res.folds for p in f.predictions]
+        y = np.array([r[1] for r in rows])
+        pred = np.array([r[2] for r in rows])
+        assert sorted(r[0] for r in rows) == sorted(s.subject_id for s in subjects)
+        assert res.pooled_r2 == ev.r_squared(y, pred)
+
     def test_undefined_r2_left_out_of_means(self, planted):
         subjects, lap, _ = planted
         plan = ev.make_folds(12, 12, seed=2)
@@ -141,6 +153,7 @@ class TestRunCv:
                         RegularizationConfig(alpha=12, eta=20), FISTA, plan, seed=2)
         assert all(f.r2 is None for f in res.folds)
         assert res.mean_r2 is None and res.stderr_r2 is None
+        assert res.pooled_r2 is not None  # twelve predictions pooled
         assert np.isfinite(res.mean_mse)
         defined = replace(res.folds[0], r2=0.5)
         mixed = ev.CvResult.from_folds([defined, res.folds[1], replace(defined, r2=0.25)])
@@ -252,6 +265,51 @@ class TestSignificance:
             ev.significance_map([np.zeros((3, 2)), np.zeros((4, 2))])
 
 
+class TestWarmPath:
+    """run_fold solves a fold's penalties from strong to weak, warm-started."""
+
+    PENALTIES = [
+        (RegularizationConfig(alpha=4, eta=10), FISTA),
+        (RegularizationConfig(alpha=12, eta=20), FISTA),
+        (RegularizationConfig(alpha=8, eta=5), FISTA),
+        (RegularizationConfig(alpha=8, eta=20), FISTA),
+    ]
+
+    @staticmethod
+    def fold(subjects, lap, penalties):
+        plan = ev.make_folds(40, 4, seed=11)
+        return ev.run_fold(subjects, lap, PcaSpec(enc=4), None, None,
+                           plan.train_indices(1), plan.test_indices(1), fold_id=1,
+                           fit_seed=5, penalties=penalties)
+
+    def test_alpha_descending_outputs_in_list_order(self, planted, monkeypatch):
+        subjects, lap, _ = planted
+        solves = recorded_solves(monkeypatch)
+        results = self.fold(subjects, lap, self.PENALTIES)
+        # stable: the two alpha=8 penalties keep list order
+        assert [s[1] for s in solves] == [self.PENALTIES[i][0] for i in (1, 2, 3, 0)]
+        assert solves[0][3] is None
+        for previous, current in zip(solves, solves[1:]):
+            assert current[3] is previous[4].beta
+        for (reg, _), result in zip(self.PENALTIES, results):
+            assert next(s[1] for s in solves if s[4].beta is result.beta) is reg
+
+    def test_list_order_does_not_change_results(self, planted):
+        subjects, lap, _ = planted
+        forward = self.fold(subjects, lap, self.PENALTIES[:3])
+        backward = self.fold(subjects, lap, self.PENALTIES[2::-1])[::-1]
+        for a, b in zip(forward, backward):
+            assert np.array_equal(a.beta, b.beta)
+            assert (a.mse, a.r2, a.predictions) == (b.mse, b.r2, b.predictions)
+
+    def test_strongest_alpha_is_a_cold_single_fit(self, planted):
+        subjects, lap, _ = planted
+        swept = self.fold(subjects, lap, self.PENALTIES)[1]
+        single = self.fold(subjects, lap, [self.PENALTIES[1]])[0]
+        assert np.array_equal(swept.beta, single.beta)
+        assert np.array_equal(swept.objectives, single.objectives)
+
+
 class TestSweepAndCsv:
     def test_single_point_reduces_to_run_cv(self, planted):
         subjects, lap, _ = planted
@@ -310,6 +368,7 @@ class TestSweepAndCsv:
             return fit(spec, subs, seed)
 
         monkeypatch.setattr(PcaSpec, "fit", counted)
+        solves = recorded_solves(monkeypatch)
         penalties = [
             (RegularizationConfig(alpha=12, eta=20), None),
             (RegularizationConfig(alpha=4, eta=10), FistaConfig(max_iters=50)),
@@ -322,12 +381,20 @@ class TestSweepAndCsv:
         result = ev.sweep(points, subjects, lap, plan, base_reg, FISTA, seed=9)
         assert fits == [4, 4, 4, 4, 3, 3, 3, 3]
         assert [p.label for p in result.points] == ["p0", "enc3", "p1", "p2"]
+        swept_solves = list(solves)
         for point, swept in zip(result.points, result.results):
             direct = ev.run_cv(subjects, lap, point.spec, point.reg or base_reg,
                                point.fista or FISTA, plan, seed=9)
             for a, b in zip(swept.folds, direct.folds):
-                assert np.array_equal(a.beta, b.beta)
-                assert (a.mse, a.r2, a.converged) == (b.mse, b.r2, b.converged)
+                if point.label in ("p0", "enc3"):
+                    # the strongest alpha of its group: solved cold, as a single run
+                    assert np.array_equal(a.beta, b.beta)
+                    assert (a.mse, a.r2, a.converged) == (b.mse, b.r2, b.converged)
+                else:
+                    dataset, reg, fista, init, _ = next(
+                        s for s in swept_solves if s[4].beta is a.beta)
+                    assert init is not None
+                    assert_near_tight_solve(dataset, reg, fista, a.beta)
 
     def test_empty_grid_rejected(self, planted):
         subjects, lap, _ = planted

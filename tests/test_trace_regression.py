@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -189,27 +191,33 @@ class TestLipschitz:
         assert lf <= 2.0 * lam_data * (1 + 1e-9) + eta * 2 * lap.degrees.max()
 
 
+def unscreened_mfista(ds, reg, step, fista, init=None):
+    """Textbook MFISTA with fit_mfista's plateau stop, over every row: the
+    gradient and objective are recomputed from beta on every use."""
+    x = np.zeros(ds.shape) if init is None else init
+    y, t = x, 1.0
+    fx = objective(x, ds, reg)
+    objectives, accepted = [fx], [fx]
+    for _ in range(fista.max_iters):
+        z = prox_group(y - step * smooth_gradient(y, ds, reg.eta), step * reg.alpha)
+        fz = objective(z, ds, reg)
+        x_prev = x
+        if fz <= fx:
+            x, fx = z, fz
+            accepted.append(fx)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x + (t / t_next) * (z - x) + ((t - 1.0) / t_next) * (x - x_prev)
+        t = t_next
+        objectives.append(fx)
+        if len(accepted) > 10:
+            past = accepted[-11]
+            if past - accepted[-1] < fista.rel_tolerance * max(abs(past), 1e-12):
+                break
+    return x, np.array(objectives)
+
+
 class TestCachedProducts:
     """fit_mfista keeps X·beta across iterations; a plain loop recomputes it."""
-
-    @staticmethod
-    def reference(ds, reg, step, iters):
-        # textbook MFISTA: gradient and objective from beta on every use
-        x = np.zeros(ds.shape)
-        y, t = x, 1.0
-        fx = objective(x, ds, reg)
-        objectives = [fx]
-        for _ in range(iters):
-            z = prox_group(y - step * smooth_gradient(y, ds, reg.eta), step * reg.alpha)
-            fz = objective(z, ds, reg)
-            x_prev = x
-            if fz <= fx:
-                x, fx = z, fz
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x + (t / t_next) * (z - x) + ((t - 1.0) / t_next) * (x - x_prev)
-            t = t_next
-            objectives.append(fx)
-        return x, np.array(objectives)
 
     @pytest.fixture
     def problem(self):
@@ -221,7 +229,8 @@ class TestCachedProducts:
         ds, reg, _ = problem
         fit = fit_mfista(ds, reg, FistaConfig(max_iters=300, rel_tolerance=1e-300))
         assert fit.iterations == 300
-        beta, objectives = self.reference(ds, reg, fit.step_size, 300)
+        beta, objectives = unscreened_mfista(ds, reg, fit.step_size,
+                                             FistaConfig(max_iters=300, rel_tolerance=1e-300))
         assert np.abs(fit.beta - beta).max() <= 1e-10 * np.abs(beta).max()
         assert np.allclose(fit.objectives, objectives, rtol=1e-10, atol=0)
         assert np.any(np.diff(objectives) == 0)  # the safeguard rejected some candidates
@@ -350,6 +359,97 @@ class TestMfista:
         with pytest.raises(ValueError):
             fit_mfista(ds, RegularizationConfig(alpha=0.1, eta=0),
                        init=np.zeros((2, 3)))
+
+
+class TestScreening:
+    """Gap Safe screening drops rows proven zero without moving the iterates."""
+
+    TIGHT = FistaConfig(max_iters=200_000, rel_tolerance=1e-13)
+
+    @staticmethod
+    def instances():
+        """Sparse planted problems on a 30-vertex grid, at a weak and a strong
+        alpha (fractions of the smallest alpha that zeroes every row)."""
+        lap = build_laplacian(grid_mesh(5, 6))
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            beta = np.zeros((30, 3))
+            beta[rng.choice(30, 4, replace=False)] = rng.standard_normal((4, 3))
+            ds, _ = random_dataset(30, 3, 20, seed=seed, laplacian=lap, beta=beta, noise=0.5)
+            alpha_max = row_norms(smooth_gradient(np.zeros((30, 3)), ds, 0.0)).max()
+            for fraction in (0.2, 0.5):
+                yield ds, RegularizationConfig(alpha=fraction * alpha_max, eta=1.0)
+
+    @pytest.fixture
+    def rows_held(self, monkeypatch):
+        """Rows of the latents each forward pass of fit_mfista reads."""
+        import mvtrace.trace_regression as tr
+
+        held = []
+
+        def recording(beta, latents):
+            held.append(latents.shape[1])
+            return predict_many(beta, latents)
+
+        monkeypatch.setattr(tr, "predict_many", recording)
+        return held
+
+    def test_matches_unscreened_loop(self, rows_held):
+        fista = FistaConfig(max_iters=3000)
+        screened = 0
+        for ds, reg in self.instances():
+            rows_held.clear()
+            fit = fit_mfista(ds, reg, fista)
+            screened += min(rows_held) < 30
+            _, objectives = unscreened_mfista(ds, reg, fit.step_size, fista)
+            assert fit.converged and fit.iterations == len(objectives) - 1
+            assert np.allclose(fit.objectives, objectives, rtol=1e-10, atol=0)
+        assert screened >= 10  # of 12 fits
+
+    def test_warm_start_matches_unscreened_loop(self, rows_held):
+        fista = FistaConfig(max_iters=3000)
+        screened = 0
+        for (ds, reg), factor in itertools.product(self.instances(), (2.0, 0.5)):
+            # from the solution at twice alpha (sparser) and at half (denser)
+            other = RegularizationConfig(alpha=factor * reg.alpha, eta=reg.eta)
+            init = fit_mfista(ds, other, fista).beta
+            rows_held.clear()
+            fit = fit_mfista(ds, reg, fista, init=init)
+            screened += min(rows_held) < 30
+            _, objectives = unscreened_mfista(ds, reg, fit.step_size, fista, init=init)
+            assert fit.iterations == len(objectives) - 1
+            assert np.allclose(fit.objectives, objectives, rtol=1e-10, atol=0)
+        assert screened >= 20  # of 24 fits
+
+    def test_zero_rows_zero_in_tight_solve(self):
+        for ds, reg in self.instances():
+            fit = fit_mfista(ds, reg, FistaConfig(max_iters=3000))
+            tight, _ = unscreened_mfista(ds, reg, fit.step_size, self.TIGHT)
+            zero = row_norms(fit.beta) == 0
+            assert zero.sum() >= 15
+            assert np.all(row_norms(tight)[zero] == 0)
+
+    def test_gap_bounds_suboptimality(self):
+        for ds, reg in self.instances():
+            fit = fit_mfista(ds, reg, FistaConfig(max_iters=3000))
+            tight, _ = unscreened_mfista(ds, reg, fit.step_size, self.TIGHT)
+            value = objective(fit.beta, ds, reg)
+            assert fit.gap >= value - objective(tight, ds, reg) - 1e-12 * abs(value)
+
+    def test_gap_absent_without_group_penalty(self):
+        ds, _ = random_dataset(4, 2, 10, seed=30, noise=0.5)
+        assert fit_mfista(ds, RegularizationConfig(alpha=0.0, eta=0)).gap is None
+        squared = RegularizationConfig(alpha=1.0, eta=0, squared_rows=True)
+        assert fit_mfista(ds, squared).gap is None
+        assert fit_mfista(ds, RegularizationConfig(alpha=1.0, eta=0)).gap >= 0.0
+
+    def test_row_bounds_are_row_spectral_norms(self):
+        ds, _ = random_dataset(70, 3, 5, seed=31)  # n > d, and more than one chunk
+        wide, _ = random_dataset(3, 8, 5, seed=32)  # n < d
+        for data in (ds, wide):
+            expect = [np.linalg.norm(data.latents[:, j, :], 2) ** 2
+                      for j in range(data.shape[0])]
+            assert np.allclose(data.row_gram_max, expect, rtol=1e-10, atol=0)
 
 
 class TestDataset:
