@@ -425,40 +425,16 @@ class PcaRepresentation(_SubjectEncoderMixin):
 
 
 class RawRepresentation(_SubjectEncoderMixin):
-    """Identity passthrough of the concatenated views.
-
-    ``columns`` truncates (or zero-pads) the concatenated features to a fixed
-    latent width; None keeps all of them.
-    """
-
-    def __init__(self, columns: int | None = None):
-        self.columns = columns
-        self._dim: int | None = None
-
-    @property
-    def latent_dim(self) -> int:
-        if self.columns is not None:
-            return self.columns
-        if self._dim is None:
-            raise ValueError("raw representation width unknown before first encode")
-        return self._dim
+    """Identity passthrough of the concatenated views."""
 
     def encode_pair(self, x_task, x_rest) -> np.ndarray:
-        x = np.concatenate(
+        return np.concatenate(
             [np.asarray(x_task, dtype=np.float64), np.asarray(x_rest, dtype=np.float64)],
             axis=-1,
         )
-        self._dim = x.shape[-1]
-        if self.columns is None or self.columns == x.shape[-1]:
-            return x
-        if self.columns < x.shape[-1]:
-            return x[..., : self.columns]
-        pad_shape = list(x.shape)
-        pad_shape[-1] = self.columns - x.shape[-1]
-        return np.concatenate([x, np.zeros(pad_shape)], axis=-1)
 
     def save(self, path) -> None:
-        io.write_model_container(path, {"kind": "raw", "columns": self.columns}, {})
+        io.write_model_container(path, {"kind": "raw", "columns": None}, {})
 
 
 class OracleRepresentation:
@@ -494,7 +470,10 @@ def load_representation(path):
         )
         return PcaRepresentation(FeatureScaler.from_dict(header["scaler"]), model)
     if kind == "raw":
-        return RawRepresentation(columns=header.get("columns"))
+        if header.get("columns") is not None:
+            raise ValueError(f"raw model header sets columns={header['columns']}; "
+                             "a raw representation keeps every view column")
+        return RawRepresentation()
     if kind in KINDS:
         config = ArchitectureConfig(**{f.name: header[f.name] for f in fields(ArchitectureConfig)})
         view = ViewSpec(**header["view"])
@@ -544,12 +523,10 @@ class PcaSpec:
 
 @dataclass
 class RawSpec:
-    """Identity representation (truncated/padded to ``columns`` if set)."""
-
-    columns: int | None = None
+    """Identity representation: every concatenated view column."""
 
     def fit(self, subjects: list[SubjectRecord], seed: int) -> RawRepresentation:
-        return RawRepresentation(columns=self.columns)
+        return RawRepresentation()
 
 
 @dataclass

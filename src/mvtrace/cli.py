@@ -37,6 +37,8 @@ from .trace_regression import FistaConfig, RegularizationConfig, export_beta
 logger = logging.getLogger(__name__)
 
 ARCH_CHOICES = ("mdae", "concat-ae", "monomodal-task", "monomodal-rest", "pca", "raw")
+# the significance threshold of a run's map, and the default of ``map --t-crit``
+T_CRIT = 2.45
 
 
 class ConfigError(ValueError):
@@ -86,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_map = sub.add_parser("map", help="recompute significance map from fold betas")
     p_map.add_argument("--results", required=True)
-    p_map.add_argument("--t-crit", type=float, default=2.45)
+    p_map.add_argument("--t-crit", type=float, default=T_CRIT)
     p_map.add_argument("--reduction", choices=evaluation.REDUCTIONS, default="signed-norm")
     p_map.set_defaults(handler=cmd_map)
 
@@ -241,8 +243,7 @@ def _build_spec(cfg: dict):
     if arch == "pca":
         return PcaSpec(enc=int(cfg["enc"]))
     if arch == "raw":
-        columns = cfg.get("enc") if cfg.get("raw_truncate", False) else None
-        return RawSpec(columns=columns)
+        return RawSpec()
     hidden = cfg.get("hidden_dims")
     if hidden is None:
         from .autoencoders import DEFAULT_HIDDEN
@@ -281,7 +282,7 @@ def _build_reg_fista(cfg: dict):
 
 
 # every field a run or sweep config may set; a grid point may also set "label"
-RUN_FIELDS = set(RUN_DEFAULTS) | {"dataset", "out", "grid", "raw_truncate"}
+RUN_FIELDS = set(RUN_DEFAULTS) | {"dataset", "out", "grid"}
 CV_FIELDS = {"folds", "seed"}
 # a grid point that changes only these shares each fold's representation fit
 PENALTY_FIELDS = {"alpha", "eta", "squared_rows", "fista", "label"}
@@ -307,11 +308,12 @@ def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
     (SweepPoint, CvResult) pairs in grid order.
 
     Every config is checked before any work starts.  Points whose configs
-    agree in every field outside PENALTY_FIELDS form one
-    ``evaluation.sweep`` call, which fits each fold's representation once for
-    all of them; each dataset is loaded once.
+    agree in every field outside PENALTY_FIELDS form one group, and each
+    group makes one ``evaluation.run_cv`` call with the group's penalties in
+    grid order, which fits each fold's representation once for all of them;
+    each dataset is loaded once.
     """
-    configs, points, groups = [], [], {}
+    configs, points, penalties, groups = [], [], [], {}
     for i, overrides in enumerate(grid):
         _check_fields(overrides, RUN_FIELDS | {"label"}, f"grid[{i}]")
         merged = {**cfg, **overrides}
@@ -320,10 +322,9 @@ def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
         if not isinstance(cv_cfg, dict):
             raise ConfigError("cv must be an object")
         _check_fields(cv_cfg, CV_FIELDS, "cv")
-        spec = _build_spec(merged)
-        reg, fista = _build_reg_fista(merged)
         configs.append(merged)
-        points.append(evaluation.SweepPoint(labels[i], spec, reg, fista))
+        points.append(evaluation.SweepPoint(labels[i], _build_spec(merged)))
+        penalties.append(_build_reg_fista(merged))
         shared = {k: v for k, v in merged.items() if k not in PENALTY_FIELDS}
         groups.setdefault(json.dumps(shared, sort_keys=True), []).append(i)
     datasets = {}
@@ -338,14 +339,17 @@ def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
         plan = evaluation.make_folds(
             len(subjects), int(cv_cfg.get("folds", 10)), int(cv_cfg.get("seed", base["seed"]))
         )
-        swept = evaluation.sweep([points[i] for i in indices], subjects, laplacian, plan,
-                                 seed=int(base["seed"]), jobs=int(base["jobs"]))
-        for i, result in zip(indices, swept.results):
+        results = evaluation.run_cv(
+            subjects, laplacian, points[indices[0]].spec, plan=plan,
+            seed=int(base["seed"]), jobs=int(base["jobs"]),
+            penalties=[penalties[i] for i in indices],
+        )
+        for i, result in zip(indices, results):
             entries[i] = (points[i], result)
     return entries
 
 
-def _write_run_outputs(out: Path, entries, t_crit: float = 2.45) -> None:
+def _write_run_outputs(out: Path, entries) -> None:
     out.mkdir(parents=True, exist_ok=True)
     evaluation.write_fold_csv(out / "folds.csv", entries)
     evaluation.write_summary_csv(out / "summary.csv", entries)
@@ -359,7 +363,7 @@ def _write_run_outputs(out: Path, entries, t_crit: float = 2.45) -> None:
             for fold in result.folds:
                 for i, val in enumerate(fold.objectives):
                     fh.write(f"{fold.fold_id},{i},{format(float(val), '.12g')}\n")
-        sig = evaluation.significance_map(result.betas, t_crit=t_crit)
+        sig = evaluation.significance_map(result.betas, t_crit=T_CRIT)
         evaluation.write_significance_csv(out / "significance.csv", sig)
         io.write_matrix(out / "significance_t.mvrl", sig.t)
 

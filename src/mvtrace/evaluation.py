@@ -1,4 +1,4 @@
-"""Cross-validation harness, metrics, sweeps, and weight-map significance.
+"""Cross-validation harness, metrics, and weight-map significance.
 
 Fold hygiene is strict: for every fold the representation model is fit on
 the training subjects' vertex samples only, then frozen and used to encode
@@ -33,7 +33,6 @@ class CvPlan:
     n_subjects: int
     n_folds: int
     folds: list[np.ndarray]
-    seed: int
 
     def test_indices(self, fold_id: int) -> np.ndarray:
         return self.folds[fold_id]
@@ -50,7 +49,7 @@ def make_folds(n: int, k: int, seed: int) -> CvPlan:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     order = np.random.default_rng(seed).permutation(n)
     folds = [np.sort(chunk) for chunk in np.array_split(order, k)]
-    return CvPlan(n_subjects=n, n_folds=k, folds=folds, seed=seed)
+    return CvPlan(n_subjects=n, n_folds=k, folds=folds)
 
 
 def mean_squared_error(y_true, y_pred) -> float:
@@ -88,9 +87,6 @@ class FoldResult:
     predictions: list[tuple[str, float, float]]  # (subject_id, y_true, y_pred)
     converged: bool
     objectives: np.ndarray
-    model: object = None
-    latent_mean: np.ndarray | None = None
-    latent_std: np.ndarray | None = None
 
 
 @dataclass
@@ -136,17 +132,16 @@ def run_fold(
     subjects: list[SubjectRecord],
     laplacian,
     spec,
-    reg: RegularizationConfig,
-    fista: FistaConfig,
+    penalties: list[tuple[RegularizationConfig, FistaConfig]],
     train_idx: np.ndarray,
     test_idx: np.ndarray,
     fold_id: int,
     fit_seed: int,
-    keep_model: bool = False,
     standardize_latents: bool = True,
-    penalties: list[tuple[RegularizationConfig, FistaConfig]] | None = None,
-) -> FoldResult | list[FoldResult]:
-    """Fit representation + regression on the training split, score the test split.
+) -> list[FoldResult]:
+    """Fit the representation on the training split once, then fit and score
+    the regression once per (reg, fista) pair of ``penalties``; the
+    FoldResults come back in pair order.
 
     With ``standardize_latents`` (default) every latent column is z-scored
     using training-fold statistics before the regression.  Autoencoder codes
@@ -154,33 +149,27 @@ def run_fold(
     rescaled decoder reconstructs identically), so without this the penalty
     weights would not be comparable across representations.
 
-    ``penalties``, a list of (reg, fista) pairs, replaces ``reg`` and
-    ``fista``: the representation is fit and every subject encoded once,
-    then the regression is fit and scored once per pair, and the
-    FoldResults come back as a list in pair order.  The pairs are solved as
-    a warm-started path, from the largest alpha to the smallest (a stable
-    sort, so equal alphas keep list order), each fit starting from the
-    previous fit's beta whatever its eta; the first fit starts from zero.
+    The pairs are solved as a warm-started path, from the largest alpha to
+    the smallest (a stable sort, so equal alphas keep list order), each fit
+    starting from the previous fit's beta whatever its eta; the first fit
+    starts from zero.
     """
-    single = penalties is None
-    if single:
-        penalties = [(reg, fista)]
+    if not penalties:
+        raise ValueError("empty penalty list")
     train_subjects = [subjects[i] for i in train_idx]
     model = spec.fit(train_subjects, int(fit_seed))
     train_latents = np.stack([model.encode_subject(s).z for s in train_subjects])
-    latent_mean = latent_std = None
     if standardize_latents:
-        latent_mean = train_latents.mean(axis=(0, 1))
-        latent_std = train_latents.std(axis=(0, 1))
-        latent_std = np.where(latent_std < 1e-12, 1.0, latent_std)
-        train_latents -= latent_mean  # in place: the stack is a fresh array
-        train_latents /= latent_std
+        center = train_latents.mean(axis=(0, 1))
+        scale = train_latents.std(axis=(0, 1))
+        scale = np.where(scale < 1e-12, 1.0, scale)
+        train_latents -= center  # in place: the stack is a fresh array
+        train_latents /= scale
     dataset = RegressionDataset(
         latents=train_latents,
         scores=scores_array(train_subjects),
         laplacian=laplacian,
     )
-    penalties = [(r or RegularizationConfig(), f) for r, f in penalties]
     fits = [None] * len(penalties)
     beta = None
     for i in sorted(range(len(penalties)), key=lambda i: -penalties[i][0].alpha):
@@ -191,7 +180,7 @@ def run_fold(
     for i in test_idx:
         z = model.encode_subject(subjects[i]).z
         if standardize_latents:
-            z = (z - latent_mean) / latent_std
+            z = (z - center) / scale
         for fit, rows in zip(fits, predictions):
             rows.append((subjects[i].subject_id, subjects[i].score, predict(fit.beta, z)))
     results = []
@@ -206,11 +195,8 @@ def run_fold(
             predictions=rows,
             converged=fit.converged,
             objectives=fit.objectives,
-            model=model if keep_model else None,
-            latent_mean=latent_mean,
-            latent_std=latent_std,
         ))
-    return results[0] if single else results
+    return results
 
 
 def _defined_r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float | None:
@@ -235,7 +221,6 @@ def run_cv(
     *,
     seed: int = 0,
     jobs: int = 1,
-    keep_models: bool = False,
     standardize_latents: bool = True,
     penalties: list[tuple[RegularizationConfig, FistaConfig]] | None = None,
 ) -> CvResult | list[CvResult]:
@@ -247,18 +232,20 @@ def run_cv(
     ``penalties``, a list of (reg, fista) pairs, replaces ``reg`` and
     ``fista``: each fold's representation is fit once for every pair (see
     ``run_fold``) and one CvResult per pair comes back, in pair order.
+    Given ``reg`` and ``fista`` instead (None takes the defaults, as in
+    ``fit_mfista``), the one CvResult comes back alone.
     """
-    single = penalties is None
-    if single:
-        penalties = [(reg, fista)]
+    pairs = [(reg or RegularizationConfig(), fista)] if penalties is None else penalties
+    if not pairs:
+        raise ValueError("empty penalty list")
     if plan is None:
         plan = make_folds(len(subjects), min(10, len(subjects)), seed)
     fold_seeds = np.random.SeedSequence(seed).generate_state(plan.n_folds)
     payloads = [
         (
-            subjects, laplacian, spec, None, None,
+            subjects, laplacian, spec, pairs,
             plan.train_indices(f), plan.test_indices(f), f, int(fold_seeds[f]),
-            keep_models, standardize_latents, penalties,
+            standardize_latents,
         )
         for f in range(plan.n_folds)
     ]
@@ -268,8 +255,8 @@ def run_cv(
     else:
         folds = [_run_fold_payload(p) for p in payloads]
     results = [CvResult.from_folds([fold[p] for fold in folds])
-               for p in range(len(penalties))]
-    return results[0] if single else results
+               for p in range(len(pairs))]
+    return results[0] if penalties is None else results
 
 
 @dataclass
@@ -328,75 +315,20 @@ def significance_map(
 
 @dataclass
 class SweepPoint:
-    """One grid entry: a label, a representation spec, optional reg and
-    fista overrides, and the latent dims recorded in output tables."""
+    """One grid entry: the label of its rows in the output tables and its
+    representation spec, from which the tables' latent dims are read."""
 
     label: str
     spec: object
-    reg: RegularizationConfig | None = None
-    fista: FistaConfig | None = None
-    enc: int | None = None
-    enc_split: tuple[int, int] | None = None
-
-
-@dataclass
-class SweepResult:
-    points: list[SweepPoint]
-    results: list[CvResult]
 
 
 def point_dims(point: SweepPoint) -> tuple[object, object, object]:
     """(enc, enc_t, enc_r) for CSV rows; blanks become empty strings."""
-    enc = point.enc
-    split = point.enc_split
-    if enc is None:
-        config = getattr(point.spec, "config", None)
-        if config is not None:
-            enc = config.enc
-            split = getattr(config, "enc_split", None)
-        elif hasattr(point.spec, "enc"):
-            enc = point.spec.enc
-        elif hasattr(point.spec, "columns"):
-            enc = point.spec.columns
-    enc_t, enc_r = (split if split is not None else ("", ""))
-    return (enc if enc is not None else "", enc_t, enc_r)
-
-
-def sweep(
-    points: list[SweepPoint],
-    subjects: list[SubjectRecord],
-    laplacian,
-    plan: CvPlan,
-    reg: RegularizationConfig | None = None,
-    fista: FistaConfig | None = None,
-    *,
-    seed: int = 0,
-    jobs: int = 1,
-) -> SweepResult:
-    """Cross-validate every grid point on one fold plan; results in grid order.
-
-    Points with equal specs share one ``run_cv``: each fold's representation
-    is fit, and its subjects encoded and z-scored, once for all of them, and
-    only the regression and the scoring run per point.  ``reg`` and
-    ``fista`` apply to the points that do not set their own.
-    """
-    if not points:
-        raise ValueError("empty sweep grid")
-    groups: list[list[int]] = []
-    for i, point in enumerate(points):
-        group = next((g for g in groups if points[g[0]].spec == point.spec), None)
-        if group is None:
-            groups.append([i])
-        else:
-            group.append(i)
-    results: list[CvResult | None] = [None] * len(points)
-    for group in groups:
-        penalties = [(points[i].reg or reg, points[i].fista or fista) for i in group]
-        shared = run_cv(subjects, laplacian, points[group[0]].spec, plan=plan,
-                        seed=seed, jobs=jobs, penalties=penalties)
-        for i, result in zip(group, shared):
-            results[i] = result
-    return SweepResult(points=points, results=results)
+    config = getattr(point.spec, "config", None)
+    if config is None:
+        return getattr(point.spec, "enc", ""), "", ""
+    enc_t, enc_r = config.enc_split if config.enc_split is not None else ("", "")
+    return config.enc, enc_t, enc_r
 
 
 # --- CSV export --------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_views
+from mvtrace import io
 from mvtrace.autoencoders import (
     KINDS,
     ArchitectureConfig,
@@ -294,10 +295,18 @@ class TestPersistence:
         z_b = loaded.encode_subject(subjects[0]).z
         assert np.allclose(z_a, z_b, atol=1e-12)
 
-        raw = RawSpec(columns=7).fit(subjects, seed=0)
+        raw = RawSpec().fit(subjects, seed=0)
         raw_path = tmp_path / "raw.mvnn"
         raw.save(raw_path)
-        assert load_representation(raw_path).columns == 7
+        z_raw = load_representation(raw_path).encode_subject(subjects[0]).z
+        assert z_raw.shape == (10, 10)
+        assert np.array_equal(z_raw, raw.encode_subject(subjects[0]).z)
+
+    def test_raw_header_with_columns_rejected(self, tmp_path):
+        path = tmp_path / "raw.mvnn"
+        io.write_model_container(path, {"kind": "raw", "columns": 7}, {})
+        with pytest.raises(ValueError, match="columns=7"):
+            load_representation(path)
 
 
 # Recorded from the two per-kind trainers this loop replaced: each kind's final
@@ -359,17 +368,6 @@ class TestRepresentationSpecs:
         subjects = [make_subject(f"s{i}", 12, seed=30 + i) for i in range(3)]
         model = PcaSpec(enc=4).fit(subjects, seed=0)
         assert model.encode_subject(subjects[1]).z.shape == (12, 4)
-
-    def test_raw_spec_truncates_and_pads(self):
-        subjects = [make_subject("s0", 5, seed=40)]
-        model = RawSpec(columns=4).fit(subjects, seed=0)
-        assert model.encode_subject(subjects[0]).z.shape == (5, 4)
-        model = RawSpec(columns=15).fit(subjects, seed=0)
-        z = model.encode_subject(subjects[0]).z
-        assert z.shape == (5, 15)
-        assert np.all(z[:, 10:] == 0.0)
-        model = RawSpec().fit(subjects, seed=0)
-        assert model.encode_subject(subjects[0]).z.shape == (5, 10)
 
     def test_oracle_spec_lookup(self):
         subjects = [make_subject("s0", 6, seed=50)]

@@ -239,6 +239,19 @@ class TestRun:
         assert err["error"] == "ConfigError" and "step_policy" in err["message"]
         assert not out.exists()
 
+    def test_removed_raw_truncate_is_config_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path, "run.json",
+            {**SMALL_RUN, "arch": "raw", "raw_truncate": True,
+             "dataset": str(dataset_dir), "out": str(out)},
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError",
+                       "message": "unknown run config field(s): ['raw_truncate']"}
+        assert not out.exists()
+
     def test_non_finite_input_rejected_before_any_fold(self, dataset_dir, tmp_path,
                                                        capsys, monkeypatch):
         bad = tmp_path / "bad"

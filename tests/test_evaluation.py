@@ -171,9 +171,7 @@ class TestRunCv:
             for a, b in zip(seq.folds, par.folds)
         )
 
-    def test_fold_hygiene_bit_for_bit(self, planted):
-        import io as std_io
-
+    def test_fold_hygiene_bit_for_bit(self, planted, monkeypatch, tmp_path):
         subjects, lap, _ = planted
         plan = ev.make_folds(40, 10, seed=5)
         spec = AutoencoderSpec(
@@ -182,20 +180,22 @@ class TestRunCv:
         )
         reg = RegularizationConfig(alpha=12, eta=20)
         train_idx, test_idx = plan.train_indices(0), plan.test_indices(0)
+        models = []
+        fit = AutoencoderSpec.fit
 
-        def fold_artifacts(subject_list):
-            result = ev.run_fold(
-                subject_list, lap, spec, reg, FISTA, train_idx, test_idx,
-                fold_id=0, fit_seed=123, keep_model=True,
-            )
-            buf_path = std_io.BytesIO()
+        def capturing(spec, subs, seed):
+            models.append(fit(spec, subs, seed))
+            return models[-1]
+
+        monkeypatch.setattr(AutoencoderSpec, "fit", capturing)
+
+        def fold_artifacts(subject_list, name):
+            [result] = ev.run_fold(subject_list, lap, spec, [(reg, FISTA)],
+                                   train_idx, test_idx, fold_id=0, fit_seed=123)
             # serialize through the container writer for byte-level comparison
-            import tempfile, os
-            with tempfile.TemporaryDirectory() as d:
-                p = os.path.join(d, "m.mvnn")
-                result.model.save(p)
-                model_bytes = open(p, "rb").read()
-            return model_bytes, result.beta
+            path = tmp_path / f"{name}.mvnn"
+            models[-1].save(path)
+            return path.read_bytes(), result.beta
 
         rng = np.random.default_rng(999)
         corrupted = list(subjects)
@@ -207,8 +207,9 @@ class TestRunCv:
                 rng.standard_normal(s.x_rest.shape),
                 rng.standard_normal(),
             )
-        model_a, beta_a = fold_artifacts(subjects)
-        model_b, beta_b = fold_artifacts(corrupted)
+        model_a, beta_a = fold_artifacts(subjects, "clean")
+        model_b, beta_b = fold_artifacts(corrupted, "corrupted")
+        assert len(models) == 2
         assert model_a == model_b
         assert np.array_equal(beta_a, beta_b)
 
@@ -278,9 +279,9 @@ class TestWarmPath:
     @staticmethod
     def fold(subjects, lap, penalties):
         plan = ev.make_folds(40, 4, seed=11)
-        return ev.run_fold(subjects, lap, PcaSpec(enc=4), None, None,
+        return ev.run_fold(subjects, lap, PcaSpec(enc=4), penalties,
                            plan.train_indices(1), plan.test_indices(1), fold_id=1,
-                           fit_seed=5, penalties=penalties)
+                           fit_seed=5)
 
     def test_alpha_descending_outputs_in_list_order(self, planted, monkeypatch):
         subjects, lap, _ = planted
@@ -311,22 +312,24 @@ class TestWarmPath:
 
 
 class TestSweepAndCsv:
+    """run_cv with a penalty list, as each group of sweep points runs it."""
+
     def test_single_point_reduces_to_run_cv(self, planted):
         subjects, lap, _ = planted
         plan = ev.make_folds(40, 5, seed=6)
         reg = RegularizationConfig(alpha=12, eta=20)
-        point = ev.SweepPoint(label="pca-4", spec=PcaSpec(enc=4))
-        swept = ev.sweep([point], subjects, lap, plan, reg, FISTA, seed=6)
+        [listed] = ev.run_cv(subjects, lap, PcaSpec(enc=4), plan=plan, seed=6,
+                             penalties=[(reg, FISTA)])
         direct = ev.run_cv(subjects, lap, PcaSpec(enc=4), reg, FISTA, plan, seed=6)
-        assert swept.results[0].mean_mse == direct.mean_mse
+        assert listed.mean_mse == direct.mean_mse
 
     def test_enc_grid_rows(self, planted, tmp_path):
         subjects, lap, _ = planted
         plan = ev.make_folds(40, 5, seed=7)
         reg = RegularizationConfig(alpha=12, eta=20)
         points = [ev.SweepPoint(label=f"pca-{e}", spec=PcaSpec(enc=e)) for e in (2, 5, 10)]
-        result = ev.sweep(points, subjects, lap, plan, reg, FISTA, seed=7)
-        entries = list(zip(result.points, result.results))
+        entries = [(point, ev.run_cv(subjects, lap, point.spec, reg, FISTA, plan, seed=7))
+                   for point in points]
         folds_csv = tmp_path / "folds.csv"
         summary_csv = tmp_path / "summary.csv"
         ev.write_fold_csv(folds_csv, entries)
@@ -335,27 +338,34 @@ class TestSweepAndCsv:
             rows = list(csv.reader(fh))
         assert rows[0] == ["config", "enc", "enc_t", "enc_r", "fold", "mse", "r2"]
         assert len(rows) == 1 + 3 * 5
-        assert {r[0] for r in rows[1:]} == {"pca-2", "pca-5", "pca-10"}
+        assert [r[:2] for r in rows[1::5]] == [["pca-2", "2"], ["pca-5", "5"], ["pca-10", "10"]]
         with open(summary_csv) as fh:
             srows = list(csv.reader(fh))
-        assert len(srows) == 4
+        assert [r[0] for r in srows[1:]] == ["pca-2", "pca-5", "pca-10"]
         for row in srows[1:]:
             float(row[4]), float(row[6])  # parse back
 
-    def test_split_grid_rows(self, planted):
+    def test_split_grid_rows(self, planted, tmp_path):
         subjects, lap, _ = planted
         plan = ev.make_folds(40, 4, seed=8)
         reg = RegularizationConfig(alpha=12, eta=20)
-        points = []
+        entries = []
         for split in [(8, 2), (5, 5), (2, 8)]:
             cfg = ArchitectureConfig(kind="mdae", enc=10, enc_split=split, hidden_dims=())
-            points.append(ev.SweepPoint(
+            point = ev.SweepPoint(
                 label=f"mdae-{split[0]}-{split[1]}",
                 spec=AutoencoderSpec(config=cfg, epochs=2, batch_size=500, learning_rate=1e-3),
-            ))
-        result = ev.sweep(points, subjects, lap, plan, reg, FISTA, seed=8)
-        assert len(result.results) == 3
-        assert ev.point_dims(points[0]) == (10, 8, 2)
+            )
+            entries.append((point, ev.run_cv(subjects, lap, point.spec, reg, FISTA, plan,
+                                             seed=8)))
+        assert ev.point_dims(entries[0][0]) == (10, 8, 2)
+        assert ev.point_dims(ev.SweepPoint("pca", PcaSpec(enc=4))) == (4, "", "")
+        ev.write_summary_csv(tmp_path / "summary.csv", entries)
+        with open(tmp_path / "summary.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[:4] for r in rows[1:]] == [
+            ["mdae-8-2", "10", "8", "2"], ["mdae-5-5", "10", "5", "5"],
+            ["mdae-2-8", "10", "2", "8"]]
 
     def test_equal_specs_share_fold_fits(self, planted, monkeypatch):
         subjects, lap, _ = planted
@@ -370,36 +380,40 @@ class TestSweepAndCsv:
         monkeypatch.setattr(PcaSpec, "fit", counted)
         solves = recorded_solves(monkeypatch)
         penalties = [
-            (RegularizationConfig(alpha=12, eta=20), None),
+            (RegularizationConfig(alpha=12, eta=20), FISTA),
             (RegularizationConfig(alpha=4, eta=10), FistaConfig(max_iters=50)),
-            (None, None),
+            (RegularizationConfig(alpha=8, eta=5), FISTA),
         ]
-        points = [ev.SweepPoint(label=f"p{i}", spec=PcaSpec(enc=4), reg=r, fista=f)
-                  for i, (r, f) in enumerate(penalties)]
-        points.insert(1, ev.SweepPoint(label="enc3", spec=PcaSpec(enc=3)))
-        base_reg = RegularizationConfig(alpha=8, eta=5)
-        result = ev.sweep(points, subjects, lap, plan, base_reg, FISTA, seed=9)
-        assert fits == [4, 4, 4, 4, 3, 3, 3, 3]
-        assert [p.label for p in result.points] == ["p0", "enc3", "p1", "p2"]
+        listed = ev.run_cv(subjects, lap, PcaSpec(enc=4), plan=plan, seed=9,
+                           penalties=penalties)
+        assert fits == [4, 4, 4, 4]
+        assert len(listed) == 3
         swept_solves = list(solves)
-        for point, swept in zip(result.points, result.results):
-            direct = ev.run_cv(subjects, lap, point.spec, point.reg or base_reg,
-                               point.fista or FISTA, plan, seed=9)
+        for i, (pair, swept) in enumerate(zip(penalties, listed)):
+            direct = ev.run_cv(subjects, lap, PcaSpec(enc=4), *pair, plan, seed=9)
             for a, b in zip(swept.folds, direct.folds):
-                if point.label in ("p0", "enc3"):
-                    # the strongest alpha of its group: solved cold, as a single run
+                if i == 0:
+                    # the strongest alpha: solved cold, as a single run
                     assert np.array_equal(a.beta, b.beta)
                     assert (a.mse, a.r2, a.converged) == (b.mse, b.r2, b.converged)
                 else:
                     dataset, reg, fista, init, _ = next(
                         s for s in swept_solves if s[4].beta is a.beta)
+                    assert reg is pair[0] and fista is pair[1]
                     assert init is not None
                     assert_near_tight_solve(dataset, reg, fista, a.beta)
 
-    def test_empty_grid_rejected(self, planted):
+    def test_empty_penalty_list_rejected(self, planted, monkeypatch):
         subjects, lap, _ = planted
-        with pytest.raises(ValueError):
-            ev.sweep([], subjects, lap, ev.make_folds(40, 5, 0), None, None)
+        plan = ev.make_folds(40, 5, 0)
+        fits = []
+        monkeypatch.setattr(PcaSpec, "fit", lambda *a: fits.append(a))
+        with pytest.raises(ValueError, match="empty penalty list"):
+            ev.run_cv(subjects, lap, PcaSpec(enc=4), plan=plan, penalties=[])
+        with pytest.raises(ValueError, match="empty penalty list"):
+            ev.run_fold(subjects, lap, PcaSpec(enc=4), [], plan.train_indices(0),
+                        plan.test_indices(0), fold_id=0, fit_seed=0)
+        assert fits == []
 
     def test_significance_csv(self, tmp_path):
         maps = [np.zeros((3, 2)) for _ in range(4)]
