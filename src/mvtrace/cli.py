@@ -8,10 +8,18 @@ Subcommands over JSON config files:
 * ``map``      — recompute the significance map from stored fold betas,
 * ``inspect``  — print MVRL/MVNN file headers.
 
-Every run writes a ``manifest.json`` with the fully resolved config; passing
-a manifest back through ``--config`` reproduces the run bit-for-bit.  Errors
-leave a machine-readable JSON object on stderr and a nonzero exit code.
-``MVTRACE_LOG`` in {error, info, debug} controls logging.
+Each config has one schema: ``synth.GeneratorConfig``'s fields (plus
+``out``) for ``generate``, ``RUN_DEFAULTS`` (plus ``dataset``, ``out`` and a
+sweep's ``grid``) for ``run`` and ``sweep``.  A command-line flag names the
+config field it sets (``--batch`` sets ``batch_size``); a flag left out
+leaves the config as it is.  ``run`` is a ``sweep`` over the one point
+``{}``, labelled by ``arch``.  Unknown or misplaced fields are a
+``ConfigError`` before any work starts.
+
+Every command writes a ``manifest.json`` with the fully resolved config;
+passing a manifest back through ``--config`` reproduces the output
+bit-for-bit.  Errors leave a machine-readable JSON object on stderr and a
+nonzero exit code.  ``MVTRACE_LOG`` in {error, info, debug} controls logging.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, evaluation, io, synth
@@ -37,8 +46,6 @@ from .trace_regression import FistaConfig, RegularizationConfig, export_beta
 logger = logging.getLogger(__name__)
 
 ARCH_CHOICES = ("mdae", "concat-ae", "monomodal-task", "monomodal-rest", "pca", "raw")
-# the significance threshold of a run's map, and the default of ``map --t-crit``
-T_CRIT = 2.45
 
 
 class ConfigError(ValueError):
@@ -72,23 +79,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mvtrace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", help="write a synthetic dataset directory")
+    # a flag's dest is the config field it sets; a flag left out is absent
+    # from the parsed namespace, so it overrides nothing
+    p_gen = sub.add_parser("generate", help="write a synthetic dataset directory",
+                           argument_default=argparse.SUPPRESS)
     p_gen.add_argument("--config", required=True)
     p_gen.add_argument("--out")
     p_gen.add_argument("--seed", type=int)
     p_gen.set_defaults(handler=cmd_generate)
 
-    p_run = sub.add_parser("run", help="cross-validated pipeline on a dataset")
-    _add_run_flags(p_run)
-    p_run.set_defaults(handler=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="grid of run configs on one fold plan")
-    _add_run_flags(p_sweep)
-    p_sweep.set_defaults(handler=cmd_sweep)
+    for name, help_text in (("run", "cross-validated pipeline on a dataset"),
+                            ("sweep", "grid of run configs on one fold plan")):
+        p_run = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        _add_run_flags(p_run)
+        p_run.set_defaults(handler=cmd_run)
 
     p_map = sub.add_parser("map", help="recompute significance map from fold betas")
     p_map.add_argument("--results", required=True)
-    p_map.add_argument("--t-crit", type=float, default=T_CRIT)
+    p_map.add_argument("--t-crit", type=float, default=evaluation.T_CRIT)
     p_map.add_argument("--reduction", choices=evaluation.REDUCTIONS, default="signed-norm")
     p_map.set_defaults(handler=cmd_map)
 
@@ -105,12 +113,24 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int)
     parser.add_argument("--arch", choices=ARCH_CHOICES)
     parser.add_argument("--enc", type=int)
-    parser.add_argument("--enc-split", metavar="T,R")
-    parser.add_argument("--hidden-act", choices=("linear", "relu"))
-    parser.add_argument("--output-act", choices=("linear", "sigmoid"))
+    parser.add_argument("--enc-split", dest="enc_split", metavar="T,R")
+    parser.add_argument("--hidden-act", dest="hidden_activation", choices=("linear", "relu"))
+    parser.add_argument("--output-act", dest="output_activation", choices=("linear", "sigmoid"))
     parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch", type=int)
-    parser.add_argument("--lr", type=float)
+    parser.add_argument("--batch", dest="batch_size", type=int)
+    parser.add_argument("--lr", dest="learning_rate", type=float)
+
+
+def _flags(args) -> dict:
+    """The config fields set on the command line, by field name."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "handler")}
+    if "enc_split" in flags:
+        try:
+            t, r = (int(v) for v in flags["enc_split"].split(","))
+        except ValueError:
+            raise ConfigError(f"--enc-split expects 'T,R', got {flags['enc_split']!r}")
+        flags["enc_split"] = [t, r]
+    return flags
 
 
 def _load_config(path) -> dict:
@@ -142,44 +162,20 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict) -> None:
 
 # --- generate ----------------------------------------------------------------
 
-GENERATE_DEFAULTS = {
-    "n_subjects": 40,
-    "mesh": "icosphere-2",
-    "d_task": 24,
-    "d_rest": 30,
-    "latent_dim_true": 4,
-    "n_clusters": 3,
-    "cluster_size": 8,
-    "noise_sigma": 0.05,
-    "view_noise_sigma": 0.4,
-    "loading_weights": [1.0, 1.0],
-    "smoothing": 1.0,
-    "standardize_scores": True,
-    "seed": 0,
-}
+GENERATE_FIELDS = {f.name for f in fields(synth.GeneratorConfig)} | {"out"}
 
 
 def cmd_generate(args) -> int:
-    cfg = {**GENERATE_DEFAULTS, **_load_config(args.config)}
-    if args.out:
-        cfg["out"] = args.out
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = {**_load_config(args.config), **_flags(args)}
     out = Path(_require(cfg, "out"))
-    known = set(GENERATE_DEFAULTS) | {"out"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown generate config field(s): {sorted(unknown)}")
+    _check_fields(cfg, GENERATE_FIELDS, "generate config")
     try:
-        gen_cfg = synth.GeneratorConfig(
-            **{k: tuple(v) if k == "loading_weights" else v
-               for k, v in cfg.items() if k != "out"}
-        )
+        gen_cfg = synth.GeneratorConfig(**{k: v for k, v in cfg.items() if k != "out"})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid generate config: {exc}") from exc
     subjects, mesh, ground_truth = synth.generate(gen_cfg)
     synth.write_dataset(out, subjects, mesh, ground_truth)
-    _write_manifest(out, "generate", cfg)
+    _write_manifest(out, "generate", {**asdict(gen_cfg), "out": cfg["out"]})
     print(f"wrote {len(subjects)} subjects on {mesh.vertex_count} vertices to {out}")
     return 0
 
@@ -204,36 +200,6 @@ RUN_DEFAULTS = {
     "jobs": 1,
     "seed": 0,
 }
-
-
-def _apply_run_flags(cfg: dict, args) -> dict:
-    if args.out:
-        cfg["out"] = args.out
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.jobs is not None:
-        cfg["jobs"] = args.jobs
-    if args.arch:
-        cfg["arch"] = args.arch
-    if args.enc is not None:
-        cfg["enc"] = args.enc
-    if args.enc_split:
-        try:
-            t, r = (int(v) for v in args.enc_split.split(","))
-        except ValueError:
-            raise ConfigError(f"--enc-split expects 'T,R', got {args.enc_split!r}")
-        cfg["enc_split"] = [t, r]
-    if args.hidden_act:
-        cfg["hidden_activation"] = args.hidden_act
-    if args.output_act:
-        cfg["output_activation"] = args.output_act
-    if args.epochs is not None:
-        cfg["epochs"] = args.epochs
-    if args.batch is not None:
-        cfg["batch_size"] = args.batch
-    if args.lr is not None:
-        cfg["learning_rate"] = args.lr
-    return cfg
 
 
 def _build_spec(cfg: dict):
@@ -281,8 +247,10 @@ def _build_reg_fista(cfg: dict):
     return reg, fista
 
 
-# every field a run or sweep config may set; a grid point may also set "label"
+# every field a run or sweep config may set; a grid point may also set
+# "label", but not the sweep-wide "out" and "grid"
 RUN_FIELDS = set(RUN_DEFAULTS) | {"dataset", "out", "grid"}
+POINT_FIELDS = (RUN_FIELDS - {"out", "grid"}) | {"label"}
 CV_FIELDS = {"folds", "seed"}
 # a grid point that changes only these shares each fold's representation fit
 PENALTY_FIELDS = {"alpha", "eta", "squared_rows", "fista", "label"}
@@ -294,13 +262,31 @@ def _check_fields(cfg: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown {where} field(s): {sorted(unknown)}")
 
 
-def _resolve_run_config(args) -> dict:
+def _resolve_run_config(args) -> tuple[dict, list[dict], list[str]]:
+    """The resolved config, its grid of overrides and their labels; a run's
+    grid is the one point ``{}``, labelled by ``arch``."""
     cfg = {**RUN_DEFAULTS, **_load_config(args.config)}
     _check_fields(cfg, RUN_FIELDS, "run config")
-    cfg = _apply_run_flags(cfg, args)
+    cfg.update(_flags(args))
     _require(cfg, "dataset")
     _require(cfg, "out")
-    return cfg
+    if args.command == "run":
+        if "grid" in cfg:
+            raise ConfigError("a run config has no 'grid'; use mvtrace sweep")
+        return cfg, [{}], [cfg["arch"]]
+    grid = cfg.get("grid")
+    if not grid or not isinstance(grid, list):
+        raise ConfigError("sweep config needs a nonempty 'grid' list of override objects")
+    for i, overrides in enumerate(grid):
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"grid[{i}] must be an object of config overrides")
+        _check_fields(overrides, POINT_FIELDS, f"grid[{i}]")
+    labels = [overrides.get("label") or _grid_label(overrides, i)
+              for i, overrides in enumerate(grid)]
+    duplicates = sorted({label for label in labels if labels.count(label) > 1}, key=str)
+    if duplicates:
+        raise ConfigError(f"duplicate grid label(s): {duplicates}")
+    return cfg, grid, labels
 
 
 def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
@@ -315,13 +301,14 @@ def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
     """
     configs, points, penalties, groups = [], [], [], {}
     for i, overrides in enumerate(grid):
-        _check_fields(overrides, RUN_FIELDS | {"label"}, f"grid[{i}]")
         merged = {**cfg, **overrides}
-        merged.pop("grid", None)
         cv_cfg = merged["cv"]
         if not isinstance(cv_cfg, dict):
             raise ConfigError("cv must be an object")
         _check_fields(cv_cfg, CV_FIELDS, "cv")
+        jobs = merged["jobs"]
+        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+            raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
         configs.append(merged)
         points.append(evaluation.SweepPoint(labels[i], _build_spec(merged)))
         penalties.append(_build_reg_fista(merged))
@@ -341,7 +328,7 @@ def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
         )
         results = evaluation.run_cv(
             subjects, laplacian, points[indices[0]].spec, plan=plan,
-            seed=int(base["seed"]), jobs=int(base["jobs"]),
+            seed=int(base["seed"]), jobs=base["jobs"],
             penalties=[penalties[i] for i in indices],
         )
         for i, result in zip(indices, results):
@@ -363,9 +350,16 @@ def _write_run_outputs(out: Path, entries) -> None:
             for fold in result.folds:
                 for i, val in enumerate(fold.objectives):
                     fh.write(f"{fold.fold_id},{i},{format(float(val), '.12g')}\n")
-        sig = evaluation.significance_map(result.betas, t_crit=T_CRIT)
-        evaluation.write_significance_csv(out / "significance.csv", sig)
-        io.write_matrix(out / "significance_t.mvrl", sig.t)
+        _write_significance(out, result.betas)
+
+
+def _write_significance(out: Path, betas, **options):
+    """significance.csv and significance_t.mvrl of ``significance_map(betas,
+    **options)``; returns the map."""
+    sig = evaluation.significance_map(betas, **options)
+    evaluation.write_significance_csv(out / "significance.csv", sig)
+    io.write_matrix(out / "significance_t.mvrl", sig.t)
+    return sig
 
 
 def _r2_text(value) -> str:
@@ -385,39 +379,16 @@ def _report_unconverged(entries) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = _resolve_run_config(args)
-    out = Path(cfg["out"])
-    entries = _run_points(cfg, [{}], [cfg["arch"]])
-    _write_run_outputs(out, entries)
-    _write_manifest(out, "run", cfg)
-    point, result = entries[0]
-    print(
-        f"{point.label}: mean MSE {result.mean_mse:.6g} "
-        f"(+/- {result.stderr_mse:.2g}), mean R2 {_r2_text(result.mean_r2)}"
-    )
-    _report_unconverged(entries)
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = _resolve_run_config(args)
-    grid = cfg.get("grid")
-    if not grid or not isinstance(grid, list):
-        raise ConfigError("sweep config needs a nonempty 'grid' list of override objects")
-    for i, overrides in enumerate(grid):
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"grid[{i}] must be an object of config overrides")
-    labels = [overrides.get("label") or _grid_label(overrides, i)
-              for i, overrides in enumerate(grid)]
-    duplicates = sorted({label for label in labels if labels.count(label) > 1}, key=str)
-    if duplicates:
-        raise ConfigError(f"duplicate grid label(s): {duplicates}")
+    """``run`` and ``sweep``: cross-validate every grid point, write the
+    tables and the manifest, print one line per point."""
+    cfg, grid, labels = _resolve_run_config(args)
     out = Path(cfg["out"])
     entries = _run_points(cfg, grid, labels)
     _write_run_outputs(out, entries)
-    _write_manifest(out, "sweep", cfg)
+    _write_manifest(out, args.command, cfg)
     for point, result in entries:
-        print(f"{point.label}: mean MSE {result.mean_mse:.6g}, "
+        spread = f" (+/- {result.stderr_mse:.2g})" if args.command == "run" else ""
+        print(f"{point.label}: mean MSE {result.mean_mse:.6g}{spread}, "
               f"mean R2 {_r2_text(result.mean_r2)}")
     _report_unconverged(entries)
     return 0
@@ -446,9 +417,7 @@ def cmd_map(args) -> int:
             f"{results}: need at least 2 beta_fold*.mvrl files, found {len(beta_files)}"
         )
     betas = [io.read_matrix(p) for p in beta_files]
-    sig = evaluation.significance_map(betas, t_crit=args.t_crit, reduction=args.reduction)
-    evaluation.write_significance_csv(results / "significance.csv", sig)
-    io.write_matrix(results / "significance_t.mvrl", sig.t)
+    sig = _write_significance(results, betas, t_crit=args.t_crit, reduction=args.reduction)
     print(
         f"significance map over {len(betas)} folds: "
         f"{int(sig.mask.sum())} vertices with t > {args.t_crit}"

@@ -24,6 +24,8 @@ from .trace_regression import (
 )
 
 REDUCTIONS = ("signed-norm", "mean", "max-abs")
+# the significance threshold of a run's map and the default of ``mvtrace map``
+T_CRIT = 2.45
 
 
 @dataclass
@@ -249,8 +251,10 @@ def run_cv(
         )
         for f in range(plan.n_folds)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool forks all its workers up front: never more than there are folds
+    workers = min(jobs, plan.n_folds)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             folds = list(pool.map(_run_fold_payload, payloads))
     else:
         folds = [_run_fold_payload(p) for p in payloads]
@@ -271,7 +275,7 @@ class SignificanceMap:
 
 
 def significance_map(
-    betas: list[np.ndarray], t_crit: float = 2.45, reduction: str = "signed-norm"
+    betas: list[np.ndarray], t_crit: float = T_CRIT, reduction: str = "signed-norm"
 ) -> SignificanceMap:
     """Cross-fold t-test of per-vertex weights.
 

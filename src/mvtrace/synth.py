@@ -73,6 +73,7 @@ class GeneratorConfig:
             self.view_noise_sigma = (float(self.view_noise_sigma), float(self.view_noise_sigma))
         else:
             self.view_noise_sigma = tuple(float(v) for v in self.view_noise_sigma)
+        self.loading_weights = tuple(float(w) for w in self.loading_weights)
         if self.noise_sigma < 0 or min(self.view_noise_sigma) < 0:
             raise ValueError("noise levels must be nonnegative")
         if not (0.0 <= self.cluster_coherence < 1.0):

@@ -1,14 +1,15 @@
 import csv
 import json
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from conftest import assert_near_tight_solve, recorded_solves
-from mvtrace import evaluation, io
+from mvtrace import evaluation, io, synth
 from mvtrace.autoencoders import AutoencoderSpec
-from mvtrace.cli import main
+from mvtrace.cli import RUN_DEFAULTS, main
 from mvtrace.data import load_dataset
 
 SMALL_GENERATE = {
@@ -37,6 +38,20 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def tree_bytes(directory, skip=()):
+    """Relative path -> bytes of every file under ``directory``."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file() and p.name not in skip}
+
+
+@pytest.fixture
+def folds_run(monkeypatch):
+    """The arguments of every evaluation.run_fold call, which make no fit."""
+    calls = []
+    monkeypatch.setattr(evaluation, "run_fold", lambda *a, **k: calls.append(a))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +95,37 @@ class TestGenerate:
         )
         assert main(["generate", "--config", str(cfg)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert "n_subject" in err["message"]
+        assert err == {"error": "ConfigError",
+                       "message": "unknown generate config field(s): ['n_subject']"}
+        assert not (tmp_path / "ds").exists()
+
+    def test_every_generator_field_accepted(self, tmp_path):
+        # criterion 7's cohort (rest-view nuisance, per-view noise and
+        # loadings) with a non-default coherence, seeded by the --seed flag
+        fields = {"loading_weights": [1.0, 0.35], "view_noise_sigma": [0.5, 1.0],
+                  "rest_nuisance_dim": 3, "rest_nuisance_scale": 3.5,
+                  "cluster_coherence": 0.9}
+        cfg = write_config(tmp_path, "gen.json", {**fields, "out": str(tmp_path / "cli")})
+        assert main(["generate", "--config", str(cfg), "--seed", "1"]) == 0
+        synth.write_dataset(tmp_path / "direct", *synth.generate(synth.GeneratorConfig(
+            seed=1, loading_weights=(1.0, 0.35), view_noise_sigma=(0.5, 1.0),
+            rest_nuisance_dim=3, rest_nuisance_scale=3.5, cluster_coherence=0.9,
+        )))
+        written = tree_bytes(tmp_path / "cli", skip=("manifest.json",))
+        assert written == tree_bytes(tmp_path / "direct")
+        assert len(written) == 2 * 40 + 4  # two views per subject, mesh, scores, truth
+
+    def test_manifest_records_resolved_config(self, dataset_dir, tmp_path):
+        manifest = json.loads((dataset_dir / "manifest.json").read_text())
+        resolved = asdict(synth.GeneratorConfig(**SMALL_GENERATE))
+        assert manifest["config"] == json.loads(json.dumps(
+            {**resolved, "out": str(dataset_dir)}))
+        assert manifest["config"]["view_noise_sigma"] == [0.4, 0.4]
+        again = tmp_path / "again"
+        assert main(["generate", "--config", str(dataset_dir / "manifest.json"),
+                     "--out", str(again)]) == 0
+        assert tree_bytes(again, skip=("manifest.json",)) == tree_bytes(
+            dataset_dir, skip=("manifest.json",))
 
 
 class TestRun:
@@ -253,15 +298,13 @@ class TestRun:
         assert not out.exists()
 
     def test_non_finite_input_rejected_before_any_fold(self, dataset_dir, tmp_path,
-                                                       capsys, monkeypatch):
+                                                       capsys, folds_run):
         bad = tmp_path / "bad"
         shutil.copytree(dataset_dir, bad)
         sid = load_dataset(dataset_dir)[0][5].subject_id
         values = io.read_matrix(bad / f"task_{sid}.mvrl")
         values[3, 2] = np.nan
         io.write_matrix(bad / f"task_{sid}.mvrl", values)
-        folds = []
-        monkeypatch.setattr(evaluation, "run_fold", lambda *a, **k: folds.append(a))
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "run.json",
                            {**SMALL_RUN, "dataset": str(bad), "out": str(out)})
@@ -269,7 +312,7 @@ class TestRun:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError",
                        "message": f"subject {sid} has non-finite task values"}
-        assert folds == [] and not out.exists()
+        assert folds_run == [] and not out.exists()
 
     def test_leave_one_out(self, dataset_dir, tmp_path):
         # one subject per test fold: R² is undefined there, its cells blank
@@ -324,6 +367,64 @@ class TestRun:
         assert len(err) == 1
         assert "4 of 4 regression fits stopped at fista.max_iters" in err[0]
 
+    def test_grid_in_run_config_rejected(self, dataset_dir, tmp_path, capsys, folds_run):
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path, "run.json",
+            {**SMALL_RUN, "grid": [{"alpha": 1.0}], "dataset": str(dataset_dir),
+             "out": str(out)},
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError",
+                       "message": "a run config has no 'grid'; use mvtrace sweep"}
+        assert folds_run == [] and not out.exists()
+
+    @pytest.mark.parametrize("jobs", [0, -2, "two", 1.9, True])
+    def test_jobs_not_a_positive_integer_rejected(self, dataset_dir, tmp_path, capsys,
+                                                  folds_run, jobs):
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path, "run.json",
+            {**SMALL_RUN, "jobs": jobs, "dataset": str(dataset_dir), "out": str(out)},
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError",
+                       "message": f"jobs must be an integer of at least 1, got {jobs!r}"}
+        assert folds_run == [] and not out.exists()
+
+    def test_jobs_capped_at_fold_count(self, dataset_dir, tmp_path, monkeypatch):
+        # a stand-in pool that records its size and starts no process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        outs = {}
+        for jobs in (500, 1):
+            outs[jobs] = tmp_path / f"jobs{jobs}"
+            cfg = write_config(
+                tmp_path, f"jobs{jobs}.json",
+                {**SMALL_RUN, "jobs": jobs, "dataset": str(dataset_dir),
+                 "out": str(outs[jobs])},
+            )
+            assert main(["run", "--config", str(cfg)]) == 0
+        assert sizes == [4]  # 4 folds; jobs=1 makes no pool
+        for name in ("folds.csv", "summary.csv"):
+            assert (outs[500] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_bad_enc_split_flag(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "run.json",
@@ -332,6 +433,38 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--enc-split", "4:1"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "enc-split" in err["message"]
+
+
+# each run/sweep flag, a value unlike the config's, and the field it sets
+FLAGS = [
+    ("--seed", "3", "seed", 3),
+    ("--jobs", "2", "jobs", 2),
+    ("--arch", "raw", "arch", "raw"),
+    ("--enc", "2", "enc", 2),
+    ("--enc-split", "2,1", "enc_split", [2, 1]),
+    ("--hidden-act", "relu", "hidden_activation", "relu"),
+    ("--output-act", "sigmoid", "output_activation", "sigmoid"),
+    ("--epochs", "3", "epochs", 3),
+    ("--batch", "64", "batch_size", 64),
+    ("--lr", "0.01", "learning_rate", 0.01),
+    ("--out", "flag-out", "out", "flag-out"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flag,value,field,recorded", FLAGS, ids=[f[0] for f in FLAGS])
+def test_flag_lands_in_manifest(dataset_dir, tmp_path, monkeypatch, command,
+                                flag, value, field, recorded):
+    monkeypatch.chdir(tmp_path)
+    payload = {**SMALL_RUN, "dataset": str(dataset_dir), "out": "config-out"}
+    if command == "sweep":
+        payload["grid"] = [{"alpha": 1.0}]
+    assert {**RUN_DEFAULTS, **payload}[field] != recorded
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", str(cfg), flag, value]) == 0
+    out = tmp_path / ("flag-out" if flag == "--out" else "config-out")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {**RUN_DEFAULTS, **payload, field: recorded}
 
 
 class TestSweep:
@@ -362,6 +495,23 @@ class TestSweep:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "grid[1]" in err["message"] and "alhpa" in err["message"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("out", "elsewhere"), ("grid", [{"eta": 1.0}]),
+    ])
+    def test_sweep_wide_field_in_point_rejected(self, dataset_dir, tmp_path, capsys,
+                                                folds_run, field, value):
+        out = tmp_path / "s"
+        cfg = write_config(
+            tmp_path, "sweep.json",
+            {**SMALL_RUN, "dataset": str(dataset_dir), "out": str(out),
+             "grid": [{"alpha": 1.0}, {"alpha": 2.0, field: value}]},
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError",
+                       "message": f"unknown grid[1] field(s): ['{field}']"}
+        assert folds_run == [] and not out.exists()
 
     def test_empty_grid_is_config_error(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(

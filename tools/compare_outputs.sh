@@ -1,0 +1,81 @@
+#!/usr/bin/env bash
+# Byte-compare the outputs of two source checkouts on the benchmark workloads.
+#
+#   tools/compare_outputs.sh PARENT CHANGE WORK
+#
+# PARENT and CHANGE are source checkouts (each with src/mvtrace); WORK is a
+# scratch directory, emptied first.  For each workload in perfbench's
+# workloads.WORKLOADS and each cohort seed 11 and 12, the configs come from
+# the benchmark's own Bench.write_configs (read from CHANGE, nothing written
+# under perfbench/).  Each side generates the cohort and runs every command the
+# workload has (run or sweep, and the raw workload's check run) with one BLAS
+# thread and the same --out.  Prints "DIFF <file>" for a file whose bytes
+# differ and "FILESET <dir>" for a directory whose file lists differ; every
+# generated cohort file is compared except its manifest.json.
+set -u
+
+if [ $# -ne 3 ]; then
+    echo "usage: $0 PARENT CHANGE WORK" >&2
+    exit 2
+fi
+P=$(cd "$1" && pwd) || exit 2
+C=$(cd "$2" && pwd) || exit 2
+W=$3
+
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+export PYTHONDONTWRITEBYTECODE=1 MVTRACE_LOG=error
+
+mvtrace() {  # mvtrace SIDE ARGS...: the program of one checkout
+    local side=$1
+    shift
+    PYTHONPATH="$side/src" python3 -m mvtrace "$@"
+}
+
+# compare two directories file by file, recursively
+compare() {
+    local a=$1 b=$2 skip=${3:-}
+    diff <(cd "$a" && find . -type f ! -name "$skip" | sort) \
+         <(cd "$b" && find . -type f ! -name "$skip" | sort) >/dev/null \
+        || echo "FILESET $a"
+    (cd "$a" && find . -type f ! -name "$skip") | while read -r f; do
+        [ -f "$b/$f" ] && { cmp -s "$a/$f" "$b/$f" || echo "DIFF $a/${f#./}"; }
+    done
+}
+
+rm -rf "$W"
+mkdir -p "$W"
+W=$(cd "$W" && pwd)
+for s in 11 12; do
+    # write every workload's configs to $W/<workload>-$s and print the names
+    names=$(python3 -c "
+import sys
+from pathlib import Path
+sys.path.insert(0, '$C/perfbench')
+import run, workloads
+for name, wl in workloads.WORKLOADS.items():
+    d = Path('$W') / f'{name}-$s'
+    d.mkdir()
+    run.Bench(name, wl, $s, d).write_configs()
+    print(name)
+") || exit 1
+    for w in $names; do
+        d=$W/$w-$s
+        # the change's cohort sits where the configs point; the parent's beside it
+        mvtrace "$C" generate --config "$d/generate.json" >/dev/null || exit 1
+        mvtrace "$P" generate --config "$d/generate.json" --out "$d/cohort-P" >/dev/null || exit 1
+        compare "$d/cohort-P" "$d/cohort" manifest.json
+        for c in run sweep check; do
+            [ -f "$d/$c.json" ] || continue
+            cmd=$c
+            [ "$c" = check ] && cmd=run
+            for side in P C; do
+                rm -rf "$W/out"
+                mvtrace "${!side}" "$cmd" --config "$d/$c.json" --out "$W/out" >/dev/null 2>&1 \
+                    || echo "FAIL $d/$c-$side"
+                mv "$W/out" "$d/$c-$side"
+            done
+            compare "$d/$c-P" "$d/$c-C"
+            echo "$w seed $s $c: $(ls "$d/$c-P" | wc -l) files"
+        done
+    done
+done
