@@ -23,12 +23,12 @@ variants additionally min-max map the reconstruction targets to [0, 1].
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
 
-from . import io, nn
+from . import nn
 from .data import LatentSubject, SubjectRecord, stack_views
 from .pca import PcaModel, fit_pca, pca_encode
 
@@ -169,26 +169,6 @@ class FeatureScaler:
         values = (getattr(self, f.name) for f in fields(self))
         return FeatureScaler(*(None if v is None else v[cols] for v in values))
 
-    def to_dict(self) -> dict:
-        out = {"mean": self.mean.tolist(), "std": self.std.tolist()}
-        if self.minmax_low is not None:
-            out["minmax_low"] = self.minmax_low.tolist()
-            out["minmax_span"] = self.minmax_span.tolist()
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureScaler":
-        return cls(
-            mean=np.array(d["mean"], dtype=np.float64),
-            std=np.array(d["std"], dtype=np.float64),
-            minmax_low=(
-                np.array(d["minmax_low"], dtype=np.float64) if "minmax_low" in d else None
-            ),
-            minmax_span=(
-                np.array(d["minmax_span"], dtype=np.float64) if "minmax_span" in d else None
-            ),
-        )
-
 
 class _SubjectEncoderMixin:
     """Vertex-wise subject encoding shared by all view-based models."""
@@ -241,10 +221,6 @@ class Autoencoder(_SubjectEncoderMixin):
             scaler.columns(slice(c.start - first, c.stop - first)) for c in self.blocks
         ]
 
-    @property
-    def latent_dim(self) -> int:
-        return self.config.enc
-
     def _encode(self, x_task, x_rest) -> np.ndarray:
         return np.concatenate(
             [
@@ -267,18 +243,6 @@ class Autoencoder(_SubjectEncoderMixin):
             nn.mse_loss(decoder.forward(z), scaler.target(_columns(x_task, x_rest, cols)))
             for decoder, scaler, cols in zip(self.decoders, self._scalers, self.blocks)
         )
-
-    def save(self, path) -> None:
-        header = {
-            **asdict(self.config),
-            "view": asdict(self.view),
-            "scaler": self.scaler.to_dict(),
-        }
-        blocks = {}
-        for i, (encoder, decoder) in enumerate(zip(self.encoders, self.decoders)):
-            blocks[f"encoder{i}"] = encoder
-            blocks[f"decoder{i}"] = decoder
-        io.write_model_container(path, header, blocks)
 
 
 def _sample_arrays(data) -> tuple[np.ndarray, np.ndarray]:
@@ -391,37 +355,12 @@ class PcaRepresentation(_SubjectEncoderMixin):
         self.scaler = scaler
         self.model = model
 
-    @property
-    def latent_dim(self) -> int:
-        return self.model.enc
-
     def encode_pair(self, x_task, x_rest) -> np.ndarray:
         x = np.concatenate(
             [np.asarray(x_task, dtype=np.float64), np.asarray(x_rest, dtype=np.float64)],
             axis=-1,
         )
         return pca_encode(self.model, self.scaler.transform(x))
-
-    def save(self, path) -> None:
-        # Encode/decode are affine, so the model ships as two linear layers.
-        enc_w = self.model.components.T
-        enc_b = -self.model.mean @ self.model.components.T
-        dec_w = self.model.components
-        dec_b = self.model.mean
-        header = {
-            "kind": "pca",
-            "enc": self.model.enc,
-            "explained_variance": self.model.explained_variance.tolist(),
-            "scaler": self.scaler.to_dict(),
-        }
-        io.write_model_container(
-            path,
-            header,
-            {
-                "encoder": nn.MLP([nn.DenseLayer(enc_w, enc_b, "linear")]),
-                "decoder": nn.MLP([nn.DenseLayer(dec_w, dec_b, "linear")]),
-            },
-        )
 
 
 class RawRepresentation(_SubjectEncoderMixin):
@@ -433,9 +372,6 @@ class RawRepresentation(_SubjectEncoderMixin):
             axis=-1,
         )
 
-    def save(self, path) -> None:
-        io.write_model_container(path, {"kind": "raw", "columns": None}, {})
-
 
 class OracleRepresentation:
     """Fixed per-subject latents, looked up by subject id (test fixture)."""
@@ -445,46 +381,11 @@ class OracleRepresentation:
         dims = {v.shape[1] for v in self.latents.values()}
         if len(dims) != 1:
             raise ValueError("oracle latents disagree on latent dim")
-        self._dim = dims.pop()
-
-    @property
-    def latent_dim(self) -> int:
-        return self._dim
 
     def encode_subject(self, subject: SubjectRecord) -> LatentSubject:
         if subject.subject_id not in self.latents:
             raise KeyError(f"no oracle latent for subject {subject.subject_id!r}")
         return LatentSubject(subject.subject_id, self.latents[subject.subject_id])
-
-
-def load_representation(path):
-    """Load any saved representation model from an MVNN container."""
-    header, blocks = io.read_model_container(path)
-    kind = header.get("kind")
-    if kind == "pca":
-        decoder = blocks["decoder"].layers[0]
-        model = PcaModel(
-            mean=decoder.bias.copy(),
-            components=decoder.weights.copy(),
-            explained_variance=np.array(header["explained_variance"], dtype=np.float64),
-        )
-        return PcaRepresentation(FeatureScaler.from_dict(header["scaler"]), model)
-    if kind == "raw":
-        if header.get("columns") is not None:
-            raise ValueError(f"raw model header sets columns={header['columns']}; "
-                             "a raw representation keeps every view column")
-        return RawRepresentation()
-    if kind in KINDS:
-        config = ArchitectureConfig(**{f.name: header[f.name] for f in fields(ArchitectureConfig)})
-        view = ViewSpec(**header["view"])
-        count = len(config.blocks(view))
-        return Autoencoder(
-            config, view, FeatureScaler.from_dict(header["scaler"]),
-            [blocks[f"encoder{i}"] for i in range(count)],
-            [blocks[f"decoder{i}"] for i in range(count)],
-            epoch_losses=[],
-        )
-    raise ValueError(f"unknown representation kind {kind!r}")
 
 
 # --- fit specs consumed by the evaluation harness ---------------------------

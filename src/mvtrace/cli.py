@@ -6,7 +6,7 @@ Subcommands over JSON config files:
 * ``run``      — cross-validated representation + trace regression,
 * ``sweep``    — run a grid of configs sharing one fold plan,
 * ``map``      — recompute the significance map from stored fold betas,
-* ``inspect``  — print MVRL/MVNN file headers.
+* ``inspect``  — print MVRL file headers.
 
 Each config has one schema: ``synth.GeneratorConfig``'s fields (plus
 ``out``) for ``generate``, ``RUN_DEFAULTS`` (plus ``dataset``, ``out`` and a
@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--reduction", choices=evaluation.REDUCTIONS, default="signed-norm")
     p_map.set_defaults(handler=cmd_map)
 
-    p_inspect = sub.add_parser("inspect", help="print matrix/model file headers")
+    p_inspect = sub.add_parser("inspect", help="print MVRL matrix file headers")
     p_inspect.add_argument("paths", nargs="+")
     p_inspect.set_defaults(handler=cmd_inspect)
     return parser
@@ -207,7 +207,7 @@ def _build_spec(cfg: dict):
     if arch not in ARCH_CHOICES:
         raise ConfigError(f"arch must be one of {ARCH_CHOICES}, got {arch!r}")
     if arch == "pca":
-        return PcaSpec(enc=int(cfg["enc"]))
+        return PcaSpec(enc=cfg["enc"])
     if arch == "raw":
         return RawSpec()
     hidden = cfg.get("hidden_dims")
@@ -218,7 +218,7 @@ def _build_spec(cfg: dict):
     try:
         config = ArchitectureConfig(
             kind=arch,
-            enc=int(cfg["enc"]),
+            enc=cfg["enc"],
             hidden_dims=tuple(hidden),
             enc_split=tuple(cfg["enc_split"]) if cfg.get("enc_split") else None,
             hidden_activation=cfg["hidden_activation"],
@@ -228,8 +228,8 @@ def _build_spec(cfg: dict):
         raise ConfigError(f"invalid architecture config: {exc}") from exc
     return AutoencoderSpec(
         config=config,
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
+        epochs=cfg["epochs"],
+        batch_size=cfg["batch_size"],
         learning_rate=float(cfg["learning_rate"]),
     )
 
@@ -254,6 +254,24 @@ POINT_FIELDS = (RUN_FIELDS - {"out", "grid"}) | {"label"}
 CV_FIELDS = {"folds", "seed"}
 # a grid point that changes only these shares each fold's representation fit
 PENALTY_FIELDS = {"alpha", "eta", "squared_rows", "fista", "label"}
+
+
+def _check_numbers(cfg: dict) -> None:
+    """A ConfigError naming the first numeric field of the wrong type.
+    Integer fields must be an int and ``learning_rate`` an int or float,
+    never a bool; nothing is cast, so nothing is truncated."""
+    integers = {name: cfg[name] for name in ("enc", "epochs", "batch_size", "seed")}
+    integers["cv.folds"] = cfg["cv"].get("folds", 10)
+    integers["cv.seed"] = cfg["cv"].get("seed", cfg["seed"])
+    for name, value in integers.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    rate = cfg["learning_rate"]
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+        raise ConfigError(f"learning_rate must be a number, got {rate!r}")
+    jobs = cfg["jobs"]
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
 
 
 def _check_fields(cfg: dict, allowed: set, where: str) -> None:
@@ -306,9 +324,7 @@ def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
         if not isinstance(cv_cfg, dict):
             raise ConfigError("cv must be an object")
         _check_fields(cv_cfg, CV_FIELDS, "cv")
-        jobs = merged["jobs"]
-        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-            raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
+        _check_numbers(merged)
         configs.append(merged)
         points.append(evaluation.SweepPoint(labels[i], _build_spec(merged)))
         penalties.append(_build_reg_fista(merged))
@@ -324,11 +340,11 @@ def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
         subjects, laplacian = datasets[base["dataset"]]
         cv_cfg = base["cv"]
         plan = evaluation.make_folds(
-            len(subjects), int(cv_cfg.get("folds", 10)), int(cv_cfg.get("seed", base["seed"]))
+            len(subjects), cv_cfg.get("folds", 10), cv_cfg.get("seed", base["seed"])
         )
         results = evaluation.run_cv(
             subjects, laplacian, points[indices[0]].spec, plan=plan,
-            seed=int(base["seed"]), jobs=base["jobs"],
+            seed=base["seed"], jobs=base["jobs"],
             penalties=[penalties[i] for i in indices],
         )
         for i, result in zip(indices, results):
@@ -427,7 +443,7 @@ def cmd_map(args) -> int:
 
 def cmd_inspect(args) -> int:
     for path in args.paths:
-        info = io.describe(path)
+        info = io.read_matrix_header(path)
         print(f"{path}: {json.dumps(info, sort_keys=True)}")
     return 0
 

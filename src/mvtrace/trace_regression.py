@@ -126,14 +126,6 @@ class RegressionDataset:
                 f"{self.latents.shape[1]}"
             )
 
-    @classmethod
-    def from_latent_subjects(cls, latent_subjects, scores, laplacian=None):
-        return cls(
-            latents=np.stack([ls.z for ls in latent_subjects]),
-            scores=np.asarray(scores, dtype=np.float64),
-            laplacian=laplacian,
-        )
-
     @functools.cached_property
     def row_gram_max(self) -> np.ndarray:
         """λmax(X_jᵀX_j) of each vertex row's design block X_j =

@@ -394,6 +394,26 @@ class TestRun:
                        "message": f"jobs must be an integer of at least 1, got {jobs!r}"}
         assert folds_run == [] and not out.exists()
 
+    @pytest.mark.parametrize("override,message", [
+        ({"enc": "three"}, "enc must be an integer, got 'three'"),
+        ({"enc": 3.9}, "enc must be an integer, got 3.9"),
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"learning_rate": "fast"}, "learning_rate must be a number, got 'fast'"),
+        ({"cv": {"folds": 2.5}}, "cv.folds must be an integer, got 2.5"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ])
+    def test_numeric_field_of_wrong_type_rejected(self, dataset_dir, tmp_path, capsys,
+                                                  folds_run, override, message):
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path, "run.json",
+            {**SMALL_RUN, **override, "dataset": str(dataset_dir), "out": str(out)},
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": message}
+        assert folds_run == [] and not out.exists()
+
     def test_jobs_capped_at_fold_count(self, dataset_dir, tmp_path, monkeypatch):
         # a stand-in pool that records its size and starts no process
         sizes = []
@@ -665,11 +685,16 @@ class TestMapAndInspect:
         assert "MVRL" in out and '"rows": 42' in out
 
     def test_inspect_bad_file_prints_json_error(self, dataset_dir, tmp_path, capsys):
-        bad = tmp_path / "padded.mvrl"
-        bad.write_bytes((dataset_dir / "task_s000.mvrl").read_bytes() + b"\x00")
-        assert main(["inspect", str(bad)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and "trailing" in err["message"]
+        padded = tmp_path / "padded.mvrl"
+        padded.write_bytes((dataset_dir / "task_s000.mvrl").read_bytes() + b"\x00")
+        # a model file of the retired MVNN format: its magic and a version
+        model = tmp_path / "model.mvnn"
+        model.write_bytes(b"MVNN" + (2).to_bytes(4, "little"))
+        for bad, expected in ((padded, "trailing"),
+                              (model, "not an MVRL file (magic b'MVNN')")):
+            assert main(["inspect", str(bad)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError" and expected in err["message"]
 
     def test_env_log_level(self, dataset_dir, monkeypatch, capsys):
         monkeypatch.setenv("MVTRACE_LOG", "debug")

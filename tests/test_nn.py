@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvtrace import io, nn
+from mvtrace import nn
 from mvtrace.autoencoders import ArchitectureConfig, train_autoencoder
 
 ACTIVATION_PAIRS = [
@@ -73,6 +73,12 @@ class TestForward:
         mlp = nn.MLP([nn.DenseLayer(np.eye(3), np.zeros(3), "linear")])
         with pytest.raises(ValueError):
             mlp.forward(np.zeros((4, 2)))
+
+    def test_from_dims_layers(self):
+        mlp = nn.MLP.from_dims([5, 4, 2], "relu", "sigmoid", np.random.default_rng(3))
+        assert [l.activation for l in mlp.layers] == ["relu", "sigmoid"]
+        assert [l.weights.shape for l in mlp.layers] == [(5, 4), (4, 2)]
+        assert mlp.forward(np.zeros((6, 5))).shape == (6, 2)
 
     def test_chain_mismatch_rejected(self):
         a = nn.DenseLayer(np.zeros((3, 4)), np.zeros(4), "linear")
@@ -196,40 +202,3 @@ class TestTraining:
             train_autoencoder((np.zeros((0, 3)), np.zeros((0, 3))), cfg, seed=0,
                               epochs=1, batch_size=4, learning_rate=1e-3)
 
-
-class TestSerialization:
-    """MLP blocks of the MVNN model container (``mvtrace.io``)."""
-
-    def test_roundtrip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        mlp = nn.MLP.from_dims([5, 4, 2], "relu", "sigmoid", rng)
-        path = tmp_path / "model.mvnn"
-        io.write_model_container(path, {}, {"net": mlp})
-        loaded = io.read_model_container(path)[1]["net"]
-        x = rng.standard_normal((6, 5))
-        assert np.array_equal(mlp.forward(x), loaded.forward(x))
-        assert [l.activation for l in loaded.layers] == ["relu", "sigmoid"]
-
-    def test_header_layout(self, tmp_path):
-        mlp = nn.MLP([nn.DenseLayer(np.zeros((2, 1)), np.zeros(1), "relu")])
-        path = tmp_path / "model.mvnn"
-        io.write_model_container(path, {}, {"m": mlp})
-        blob = path.read_bytes()
-        assert blob[:4] == b"MVNN"
-        assert int.from_bytes(blob[4:8], "little") == 2  # version
-        assert int.from_bytes(blob[8:12], "little") == 2  # header length
-        assert blob[12:14] == b"{}"
-        assert int.from_bytes(blob[14:18], "little") == 1  # block count
-        assert int.from_bytes(blob[18:22], "little") == 1  # name length
-        assert blob[22:23] == b"m"
-        assert int.from_bytes(blob[23:27], "little") == 1  # layer count
-        assert int.from_bytes(blob[27:31], "little") == 2  # fan_in
-        assert int.from_bytes(blob[31:35], "little") == 1  # fan_out
-        assert int.from_bytes(blob[35:39], "little") == 1  # relu code
-        assert len(blob) == 39 + 8 * 2 + 8  # weights, then biases
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.mvnn"
-        path.write_bytes(b"JUNK" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            io.read_model_container(path)

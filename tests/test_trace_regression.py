@@ -458,17 +458,9 @@ class TestDataset:
         with pytest.raises(ValueError, match="dimension"):
             RegressionDataset(np.zeros((2, 5, 2)), np.zeros(2), lap)
 
-    def test_from_latent_subjects(self):
-        from mvtrace.data import LatentSubject
-
-        subjects = [LatentSubject(f"s{i}", np.full((3, 2), float(i))) for i in range(4)]
-        ds = RegressionDataset.from_latent_subjects(subjects, [0.0, 1.0, 2.0, 3.0])
-        assert ds.latents.shape == (4, 3, 2)
-        assert ds.n_subjects == 4
-        assert ds.shape == (3, 2)
-
     def test_single_subject_accepted(self):
         ds = RegressionDataset(np.ones((1, 3, 2)), np.array([1.0]))
+        assert ds.n_subjects == 1 and ds.shape == (3, 2)
         fit = fit_mfista(ds, RegularizationConfig(alpha=0.01, eta=0),
                          FistaConfig(max_iters=2000))
         assert isinstance(fit, FitResult)

@@ -10,8 +10,11 @@
 # under perfbench/).  Each side generates the cohort and runs every command the
 # workload has (run or sweep, and the raw workload's check run) with one BLAS
 # thread and the same --out.  Prints "DIFF <file>" for a file whose bytes
-# differ and "FILESET <dir>" for a directory whose file lists differ; every
-# generated cohort file is compared except its manifest.json.
+# differ, "FILESET <dir>" for a directory whose file lists differ and
+# "FAIL <dir>" for a command that exited nonzero; every generated cohort file
+# is compared except its manifest.json.  The report is also kept in
+# WORK/report.txt.  Exits 1 if it printed any of those lines or a cohort could
+# not be generated, 2 on bad arguments, and 0 when every output matches.
 set -u
 
 if [ $# -ne 3 ]; then
@@ -42,12 +45,10 @@ compare() {
     done
 }
 
-rm -rf "$W"
-mkdir -p "$W"
-W=$(cd "$W" && pwd)
-for s in 11 12; do
-    # write every workload's configs to $W/<workload>-$s and print the names
-    names=$(python3 -c "
+compare_all() {
+    for s in 11 12; do
+        # write every workload's configs to $W/<workload>-$s and print the names
+        names=$(python3 -c "
 import sys
 from pathlib import Path
 sys.path.insert(0, '$C/perfbench')
@@ -58,24 +59,35 @@ for name, wl in workloads.WORKLOADS.items():
     run.Bench(name, wl, $s, d).write_configs()
     print(name)
 ") || exit 1
-    for w in $names; do
-        d=$W/$w-$s
-        # the change's cohort sits where the configs point; the parent's beside it
-        mvtrace "$C" generate --config "$d/generate.json" >/dev/null || exit 1
-        mvtrace "$P" generate --config "$d/generate.json" --out "$d/cohort-P" >/dev/null || exit 1
-        compare "$d/cohort-P" "$d/cohort" manifest.json
-        for c in run sweep check; do
-            [ -f "$d/$c.json" ] || continue
-            cmd=$c
-            [ "$c" = check ] && cmd=run
-            for side in P C; do
-                rm -rf "$W/out"
-                mvtrace "${!side}" "$cmd" --config "$d/$c.json" --out "$W/out" >/dev/null 2>&1 \
-                    || echo "FAIL $d/$c-$side"
-                mv "$W/out" "$d/$c-$side"
+        for w in $names; do
+            d=$W/$w-$s
+            # the change's cohort sits where the configs point; the parent's beside it
+            mvtrace "$C" generate --config "$d/generate.json" >/dev/null || exit 1
+            mvtrace "$P" generate --config "$d/generate.json" --out "$d/cohort-P" >/dev/null || exit 1
+            compare "$d/cohort-P" "$d/cohort" manifest.json
+            for c in run sweep check; do
+                [ -f "$d/$c.json" ] || continue
+                cmd=$c
+                [ "$c" = check ] && cmd=run
+                for side in P C; do
+                    rm -rf "$W/out"
+                    mvtrace "${!side}" "$cmd" --config "$d/$c.json" --out "$W/out" >/dev/null 2>&1 \
+                        || echo "FAIL $d/$c-$side"
+                    mkdir -p "$W/out"  # a run that failed early made none
+                    mv "$W/out" "$d/$c-$side"
+                done
+                compare "$d/$c-P" "$d/$c-C"
+                echo "$w seed $s $c: $(ls "$d/$c-P" | wc -l) files"
             done
-            compare "$d/$c-P" "$d/$c-C"
-            echo "$w seed $s $c: $(ls "$d/$c-P" | wc -l) files"
         done
     done
-done
+}
+
+rm -rf "$W"
+mkdir -p "$W"
+W=$(cd "$W" && pwd)
+# compare's loop runs in a subshell, so mismatches are counted in the report
+compare_all | tee "$W/report.txt"
+status=${PIPESTATUS[0]}
+[ "$status" -eq 0 ] || exit "$status"
+! grep -qE '^(DIFF|FILESET|FAIL) ' "$W/report.txt"
