@@ -18,6 +18,13 @@ A PCA wrapper, a raw passthrough and a fixed-latent oracle expose the same
 subject-encoding interface so the evaluation harness can swap them freely.
 Inputs are standardized per feature on the training data; sigmoid-output
 variants additionally min-max map the reconstruction targets to [0, 1].
+
+``train_autoencoder`` keeps a step down to its GEMMs, with the bits of the
+plain loop: every parameter lives in one flat buffer (``nn.share_buffers``)
+that a single Adam call updates; each epoch gathers its shuffled rows once
+into buffers allocated per fit, and a batch is a row slice of them; without
+a min-max map the targets are the inputs, gathered once; and the gradient
+w.r.t. the model's inputs is never formed.
 """
 
 from __future__ import annotations
@@ -86,7 +93,7 @@ class ArchitectureConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not (ENC_MIN <= self.enc <= ENC_MAX):
             raise ValueError(f"enc must be in [{ENC_MIN}, {ENC_MAX}], got {self.enc}")
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+        self.hidden_dims = tuple(self.hidden_dims)
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden dims must be positive")
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
@@ -96,7 +103,7 @@ class ArchitectureConfig:
         if self.kind == "mdae":
             if self.enc_split is None:
                 self.enc_split = (self.enc - self.enc // 2, self.enc // 2)
-            enc_t, enc_r = (int(v) for v in self.enc_split)
+            enc_t, enc_r = self.enc_split
             if enc_t < 1 or enc_r < 1 or enc_t + enc_r != self.enc:
                 raise ValueError(
                     f"enc_split {self.enc_split} must be two positive ints summing "
@@ -285,7 +292,8 @@ def train_autoencoder(
     columns = [_columns(x_task, x_rest, cols) for cols, _ in blocks]
     scalers = [FeatureScaler.fit(x, minmax=minmax) for x in columns]
     inputs = [s.transform(x) for s, x in zip(scalers, columns)]
-    targets = [s.target(x) for s, x in zip(scalers, columns)]
+    # without a min-max map the targets are the inputs themselves
+    targets = [s.target(x) for s, x in zip(scalers, columns)] if minmax else inputs
     del columns  # a block over both views holds a concatenated copy
 
     rng = np.random.default_rng(seed)
@@ -301,48 +309,59 @@ def train_autoencoder(
         nn.MLP.from_dims([config.enc, *reversed(hidden), cols.stop - cols.start], hid, out, rng)
         for cols, _ in blocks
     ]
-    params = [p for net in encoders + decoders for p in net.parameters()]
-    state = nn.AdamState.for_parameters(params, learning_rate)
+    params, grads, net_grads = nn.share_buffers(encoders + decoders)
+    state = nn.AdamState.for_parameters([params], learning_rate)
     ends = list(itertools.accumulate(width for _, width in blocks))
     code_cols = [slice(end - width, end) for (_, width), end in zip(blocks, ends)]
     n = x_task.shape[0]
     shuffle_rng = np.random.default_rng(int(rng.integers(2**31)))
+    # each epoch gathers its shuffled rows once, into buffers allocated here
+    # (one set when the targets are the inputs); batches are row slices
+    sources = inputs + targets if minmax else inputs
+    shuffled = [np.empty_like(x) for x in sources]
+    shuffled_inputs, shuffled_targets = shuffled[:len(inputs)], shuffled[-len(inputs):]
     epoch_losses: list[tuple[float, ...]] = []
     for _ in range(epochs):
         order = shuffle_rng.permutation(n)
+        for x, buffer in zip(sources, shuffled):
+            # "clip" never clips a permutation, and unlike "raise" it writes
+            # straight into the buffer
+            np.take(x, order, axis=0, out=buffer, mode="clip")
         totals = [0.0] * (len(blocks) + 1)
         for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            grads, losses = _step(encoders, decoders, code_cols,
-                                  [x[idx] for x in inputs], [t[idx] for t in targets])
-            nn.adam_step(state, params, grads)
+            rows = slice(start, start + batch_size)
+            losses = _step(encoders, decoders, code_cols,
+                           [x[rows] for x in shuffled_inputs],
+                           [t[rows] for t in shuffled_targets], net_grads)
+            nn.adam_step(state, [params], [grads])
+            size = min(batch_size, n - start)
             for i, loss in enumerate([sum(losses), *losses]):
-                totals[i] += loss * idx.size
+                totals[i] += loss * size
         epoch_losses.append(tuple(total / n for total in totals))
     return Autoencoder(
         config, view, FeatureScaler.concat(scalers), encoders, decoders, epoch_losses
     )
 
 
-def _step(encoders, decoders, code_cols, inputs, targets):
-    """Forward and backward pass over one batch; returns the gradients in
-    parameter order (encoders, then decoders) and each decoder's MSE.  The
-    caches die with the call, before the next batch's are built."""
+def _step(encoders, decoders, code_cols, inputs, targets, net_grads):
+    """Forward and backward pass over one batch; writes the gradients into
+    ``net_grads`` (per network, encoders then decoders) and returns each
+    decoder's MSE.  The caches die with the call, before the next batch's
+    are built."""
     codes, enc_caches = zip(*(e.forward_cache(x) for e, x in zip(encoders, inputs)))
     z = np.concatenate(codes, axis=1)
     recons, dec_caches = zip(*(d.forward_cache(z) for d in decoders))
-    losses = [nn.mse_loss(r, t) for r, t in zip(recons, targets)]
-    dec_grads, dzs = zip(*(
-        d.backward_cache(cache, nn.mse_gradient(r, t))
-        for d, cache, r, t in zip(decoders, dec_caches, recons, targets)
-    ))
+    enc_grads, dec_grads = net_grads[:len(encoders)], net_grads[len(encoders):]
+    losses, dzs = [], []
+    for d, cache, r, t, grads in zip(decoders, dec_caches, recons, targets, dec_grads):
+        loss, grad = nn.mse_loss_gradient(r, t)
+        losses.append(loss)
+        dzs.append(d.backward_cache(cache, grad, grads)[1])
     dz = sum(dzs[1:], dzs[0])  # the first decoder's, then the others in order
-    enc_grads = [
-        e.backward_cache(cache, dz[:, cols])[0]
-        for e, cache, cols in zip(encoders, enc_caches, code_cols)
-    ]
-    grads = [g for net_grads in enc_grads + list(dec_grads) for pair in net_grads for g in pair]
-    return grads, losses
+    # nothing reads the gradient w.r.t. the model's inputs
+    for e, cache, cols, grads in zip(encoders, enc_caches, code_cols, enc_grads):
+        e.backward_cache(cache, dz[:, cols], grads, input_grad=False)
+    return losses
 
 
 # --- non-autoencoder representations ----------------------------------------

@@ -237,9 +237,7 @@ def _build_spec(cfg: dict):
 def _build_reg_fista(cfg: dict):
     try:
         reg = RegularizationConfig(
-            alpha=float(cfg["alpha"]),
-            eta=float(cfg["eta"]),
-            squared_rows=bool(cfg.get("squared_rows", False)),
+            alpha=cfg["alpha"], eta=cfg["eta"], squared_rows=cfg["squared_rows"],
         )
         fista = FistaConfig(**cfg.get("fista", {}))
     except (TypeError, ValueError) as exc:
@@ -257,20 +255,32 @@ PENALTY_FIELDS = {"alpha", "eta", "squared_rows", "fista", "label"}
 
 
 def _check_numbers(cfg: dict) -> None:
-    """A ConfigError naming the first numeric field of the wrong type.
-    Integer fields must be an int and ``learning_rate`` an int or float,
-    never a bool; nothing is cast, so nothing is truncated."""
+    """A ConfigError naming the first typed field of the wrong type.
+    Integer fields and the entries of ``hidden_dims`` and ``enc_split`` must
+    be an int, ``learning_rate``, ``alpha`` and ``eta`` an int or float,
+    never a bool, and ``squared_rows`` a bool; nothing is cast, so nothing
+    is truncated or read as true."""
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
     integers = {name: cfg[name] for name in ("enc", "epochs", "batch_size", "seed")}
     integers["cv.folds"] = cfg["cv"].get("folds", 10)
     integers["cv.seed"] = cfg["cv"].get("seed", cfg["seed"])
     for name, value in integers.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_int(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
-    rate = cfg["learning_rate"]
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-        raise ConfigError(f"learning_rate must be a number, got {rate!r}")
+    for name in ("hidden_dims", "enc_split"):
+        value = cfg[name]
+        if value is not None and not (isinstance(value, list) and all(map(is_int, value))):
+            raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    for name in ("learning_rate", "alpha", "eta"):
+        value = cfg[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not isinstance(cfg["squared_rows"], bool):
+        raise ConfigError(f"squared_rows must be true or false, got {cfg['squared_rows']!r}")
     jobs = cfg["jobs"]
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+    if not is_int(jobs) or jobs < 1:
         raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
 
 

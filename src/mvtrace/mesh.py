@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 
 class OffFormatError(ValueError):
@@ -287,12 +286,7 @@ def build_laplacian(mesh: Mesh) -> GraphLaplacian:
         i = j = np.arange(m)
         vals = np.zeros(m)
     lap = sparse.csr_matrix((vals, (i, j)), shape=(m, m))
-    adjacency = sparse.csr_matrix(
-        (np.ones(2 * edges.shape[0]), (np.concatenate([edges[:, 0], edges[:, 1]]),
-                                       np.concatenate([edges[:, 1], edges[:, 0]]))),
-        shape=(m, m),
-    ) if edges.shape[0] else sparse.csr_matrix((m, m))
-    n_components, _ = connected_components(adjacency, directed=False)
+    n_components = component_count(m, edges)
     if n_components > 1:
         warnings.warn(
             f"mesh has {n_components} connected components; "
@@ -300,6 +294,24 @@ def build_laplacian(mesh: Mesh) -> GraphLaplacian:
             stacklevel=2,
         )
     return GraphLaplacian(matrix=lap, edges=edges, degrees=degrees)
+
+
+def component_count(m: int, edges: np.ndarray) -> int:
+    """Connected components of the graph on ``m`` vertices with undirected
+    ``edges``, isolated vertices included.
+
+    Union by hooking plus pointer jumping: each round points the root of
+    every edge's larger label at the smaller one, then compresses every
+    vertex to its root, until each edge's ends share a root.
+    """
+    labels = np.arange(m)
+    i, j = edges[:, 0], edges[:, 1]
+    while not np.array_equal(labels[i], labels[j]):
+        li, lj = labels[i], labels[j]
+        np.minimum.at(labels, np.maximum(li, lj), np.minimum(li, lj))
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
+    return int(np.count_nonzero(labels == np.arange(m)))
 
 
 def quadratic_form(laplacian: GraphLaplacian, values: np.ndarray) -> float:

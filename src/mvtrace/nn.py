@@ -4,6 +4,23 @@ Double-precision numpy throughout: dense layers with linear/relu/sigmoid
 activations, mean-squared-error loss, exact backpropagation, and Adam.
 Deliberately small — just enough to train the autoencoder stacks used by
 this package, deterministically for a fixed seed.
+
+A training step does little work beyond its GEMMs:
+
+* a layer adds its bias and applies its activation in place on the GEMM
+  output, so a pass keeps each layer's input and output, not its
+  pre-activation;
+* backpropagation skips the derivative product of linear layers, masks relu
+  gradients by ``output > 0``, and can skip the input-gradient GEMM of the
+  first layer (``input_grad=False``) when nobody reads it;
+* ``mse_loss_gradient`` forms the loss and its gradient from one difference;
+* ``share_buffers`` seats a set of networks' weights and biases in one flat
+  parameter array with a matching flat gradient array, which the backward
+  passes fill in place, so Adam updates every parameter in one call.
+
+Each of these keeps every element's arithmetic as the plain formula has it,
+so a fixed seed and BLAS thread count give the same bits.  ``scipy.special``
+is imported only when a sigmoid layer runs.
 """
 
 from __future__ import annotations
@@ -11,29 +28,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 ACTIVATIONS = ("linear", "relu", "sigmoid")
 
 
 def apply_activation(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of ``z``, computed in place: ``z`` is overwritten and
+    returned."""
     if name == "linear":
         return z
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
-        return expit(z)
+        from scipy.special import expit  # only sigmoid models load scipy.special
+
+        return expit(z, out=z)
     raise ValueError(f"unknown activation {name!r}")
 
 
-def activation_derivative(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Derivative of the activation at pre-activation z (a = activation(z))."""
+def activation_backward(name: str, grad: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The gradient w.r.t. the pre-activation, from the gradient ``grad``
+    w.r.t. the output ``a``; ``grad`` is overwritten and returned."""
     if name == "linear":
-        return np.ones_like(z)
+        return grad
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return np.multiply(grad, a > 0.0, out=grad)
     if name == "sigmoid":
-        return a * (1.0 - a)
+        slope = 1.0 - a
+        slope *= a
+        return np.multiply(grad, slope, out=grad)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -127,35 +150,46 @@ class MLP:
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_batch(x, self.input_dim)
         for layer in self.layers:
-            x = apply_activation(layer.activation, x @ layer.weights + layer.bias)
+            x = _layer_forward(layer, x)
         return x
 
     def forward_cache(self, x: np.ndarray):
-        """Forward pass keeping per-layer inputs/pre-activations/outputs."""
+        """Forward pass keeping every layer's input, then the output."""
         a = _as_batch(x, self.input_dim)
-        inputs, preacts, outputs = [], [], []
+        cache = [a]
         for layer in self.layers:
-            inputs.append(a)
-            z = a @ layer.weights + layer.bias
-            a = apply_activation(layer.activation, z)
-            preacts.append(z)
-            outputs.append(a)
-        return a, (inputs, preacts, outputs)
+            a = _layer_forward(layer, a)
+            cache.append(a)
+        return a, cache
 
-    def backward_cache(self, cache, grad_output: np.ndarray):
+    def backward_cache(self, cache, grad_output: np.ndarray, grads=None, *,
+                       input_grad: bool = True):
         """Backpropagate an output-side gradient through the cached pass.
 
         Returns (per-layer [(dW, db), ...], gradient w.r.t. the input batch).
+        The gradients are written into ``grads`` when given (pairs of arrays
+        shaped like each layer's weights and bias).  With ``input_grad=False``
+        the first layer's input-gradient GEMM is skipped and None returned in
+        its place.  ``grad_output`` is overwritten.
         """
-        inputs, preacts, outputs = cache
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
+        if grads is None:
+            grads = [(np.empty_like(layer.weights), np.empty_like(layer.bias))
+                     for layer in self.layers]
         g = grad_output
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
-            delta = g * activation_derivative(layer.activation, preacts[k], outputs[k])
-            grads[k] = (inputs[k].T @ delta, delta.sum(axis=0))
-            g = delta @ layer.weights.T
+            delta = activation_backward(layer.activation, g, cache[k + 1])
+            dw, db = grads[k]
+            np.matmul(cache[k].T, delta, out=dw)
+            np.sum(delta, axis=0, out=db)
+            g = delta @ layer.weights.T if k or input_grad else None
         return grads, g
+
+
+def _layer_forward(layer: DenseLayer, a: np.ndarray) -> np.ndarray:
+    z = a @ layer.weights
+    z += layer.bias
+    return apply_activation(layer.activation, z)
 
 
 def _as_batch(x: np.ndarray, expected_dim: int) -> np.ndarray:
@@ -177,11 +211,16 @@ def mse_loss(prediction: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def mse_gradient(prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Gradient of mse_loss w.r.t. the prediction."""
+def mse_loss_gradient(prediction: np.ndarray, target: np.ndarray):
+    """(mse_loss, its gradient w.r.t. the prediction), both from one
+    difference array."""
     if prediction.shape != target.shape:
         raise ValueError(f"shape mismatch {prediction.shape} vs {target.shape}")
-    return 2.0 * (prediction - target) / prediction.size
+    diff = prediction - target
+    loss = float(np.mean(diff * diff))
+    diff *= 2.0
+    diff /= diff.size
+    return loss, diff
 
 
 def backward(mlp: MLP, x: np.ndarray, target: np.ndarray):
@@ -191,8 +230,41 @@ def backward(mlp: MLP, x: np.ndarray, target: np.ndarray):
     """
     out, cache = mlp.forward_cache(x)
     target = _as_batch(target, mlp.output_dim)
-    grads, _ = mlp.backward_cache(cache, mse_gradient(out, target))
+    grads, _ = mlp.backward_cache(cache, mse_loss_gradient(out, target)[1])
     return grads
+
+
+def share_buffers(nets: list[MLP]):
+    """Seat the weights and biases of ``nets`` in one flat parameter array.
+
+    Every layer's ``weights`` and ``bias`` become views into the array, with
+    their values unchanged, in the order of ``nets`` and their layers.
+    Returns (parameters, gradients, per net its [(dW, db), ...] views into
+    the gradient array, laid out like the parameters).
+    """
+    layers = [layer for net in nets for layer in net.layers]
+    size = sum(layer.weights.size + layer.bias.size for layer in layers)
+    params, grads = np.empty(size), np.empty(size)
+    offset = 0
+
+    def seat(value):
+        nonlocal offset
+        end = offset + value.size
+        view = params[offset:end].reshape(value.shape)
+        view[...] = value
+        grad = grads[offset:end].reshape(value.shape)
+        offset = end
+        return view, grad
+
+    views = []
+    for net in nets:
+        pairs = []
+        for layer in net.layers:
+            layer.weights, dw = seat(layer.weights)
+            layer.bias, db = seat(layer.bias)
+            pairs.append((dw, db))
+        views.append(pairs)
+    return params, grads, views
 
 
 @dataclass
@@ -228,9 +300,20 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
     for p, g, m, v in zip(params, grads, state.moment1, state.moment2):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g², and
+        # p -= lr*(m/c1) / (sqrt(v/c2) + eps), through two scratch arrays
+        scratch = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        v += scratch
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.epsilon
+        update = m / c1
+        update *= state.learning_rate
+        update /= scratch
+        p -= update
     return params

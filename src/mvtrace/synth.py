@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg
 
 from .data import SubjectRecord, save_dataset
 from .mesh import GraphLaplacian, Mesh, build_laplacian, grid_mesh, icosphere
@@ -121,6 +120,8 @@ def make_mesh(spec: str) -> Mesh:
 
 def _smooth_columns(laplacian: GraphLaplacian, white: np.ndarray, lam: float) -> np.ndarray:
     """Apply (I + lam*L)^-1 column-wise via conjugate-gradient solves."""
+    from scipy.sparse.linalg import cg  # only generate loads scipy.sparse.linalg
+
     m = laplacian.dimension
     operator = sparse.identity(m, format="csr") + lam * laplacian.matrix
     out = np.empty_like(white)

@@ -318,6 +318,57 @@ def test_training_matches_pinned_values(kind):
     assert np.allclose(model.encode_pair(x_t[:3], x_r[:3]), codes, rtol=1e-12, atol=0.0)
 
 
+# Relu hidden layers with a linear output (no min-max map, so the targets are
+# the standardized inputs), recorded from the loop before its buffers were
+# shared: every epoch's losses and the codes of the first three samples.
+# "short-batch" trains 45 samples in batches of 16, so each epoch ends on a
+# batch of 13.  The zeros are exact: relu clamps them.
+RELU_PINNED = {
+    "mdae-relu": (
+        dict(kind="mdae", enc=5, enc_split=(3, 2), hidden_dims=(8, 6), n=48),
+        [(2.005975672201087, 1.0037089129586538, 1.002266759242433),
+         (1.9551367958528212, 0.9864089974727267, 0.9687277983800944),
+         (1.9111033127014825, 0.9658174276724675, 0.945285885029015)],
+        [[0.0, 0.0, 0.0, 0.30399000194130926, 0.5995155118566609],
+         [0.4458517104266077, 0.0, 0.45071055527420884, 0.5564788753119151, 0.7217437967350073],
+         [0.32982775339346665, 0.0, 0.012594610315732847, 0.0, 0.0]],
+    ),
+    "concat-ae-relu": (
+        dict(kind="concat-ae", enc=4, enc_split=None, hidden_dims=(8, 6), n=48),
+        [(1.0045521467773095, 1.0045521467773095),
+         (0.9897673721057241, 0.9897673721057241),
+         (0.9816637871749693, 0.9816637871749693)],
+        [[1.2086466878503694, 0.9879408228978106, 0.6628248691956067, 0.950307664132306],
+         [0.7333929708790934, 0.6222160489279189, 0.40455751119745603, 0.6049820439669187],
+         [0.21072767717569688, 0.01140963837730308, 0.0, 0.0]],
+    ),
+    "short-batch": (
+        dict(kind="mdae", enc=4, enc_split=None, hidden_dims=(7,), n=45),
+        [(2.2729792587195585, 1.1720465026678182, 1.1009327560517403),
+         (2.0218689062543973, 1.0698314501428898, 0.9520374561115075),
+         (1.877841132390249, 1.005746994226638, 0.8720941381636109)],
+        [[0.868396651258064, 0.4361318016900368, 0.9012987073292228, 0.9922801077918495],
+         [0.0, 0.40466126271129377, 0.03983094254941685, 0.0],
+         [0.334198995313974, 0.4135957754157455, 0.0, 0.0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RELU_PINNED)
+def test_relu_training_matches_pinned_values(case):
+    setup, losses, codes = RELU_PINNED[case]
+    x_t, x_r = random_views(setup["n"], 5, 4, seed=21, latent_dim=3)
+    cfg = ArchitectureConfig(kind=setup["kind"], enc=setup["enc"],
+                             hidden_dims=setup["hidden_dims"], enc_split=setup["enc_split"],
+                             hidden_activation="relu", output_activation="linear")
+    model = train_autoencoder((x_t, x_r), cfg, seed=3, epochs=3, batch_size=16,
+                              learning_rate=1e-2)
+    assert len(model.epoch_losses) == len(losses)
+    for got, want in zip(model.epoch_losses, losses):
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.allclose(model.encode_pair(x_t[:3], x_r[:3]), codes, rtol=1e-12, atol=0.0)
+
+
 class TestRepresentationSpecs:
     def test_autoencoder_spec_dispatch(self):
         subjects = [make_subject(f"s{i}", 8, seed=20 + i) for i in range(3)]

@@ -1,12 +1,16 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from conftest import assert_near_tight_solve, recorded_solves
+import mvtrace
 from mvtrace import evaluation, io, synth
 from mvtrace.autoencoders import AutoencoderSpec
 from mvtrace.cli import RUN_DEFAULTS, main
@@ -60,6 +64,37 @@ def dataset_dir(tmp_path_factory):
     cfg = write_config(tmp_path, "gen.json", {**SMALL_GENERATE, "out": str(tmp_path / "ds")})
     assert main(["generate", "--config", str(cfg)]) == 0
     return tmp_path / "ds"
+
+
+# scipy modules that a relu/linear run never calls; a run loads scipy.sparse only
+UNUSED_SCIPY = ("scipy.linalg", "scipy.special", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
+def test_run_imports_no_unused_scipy(dataset_dir, tmp_path):
+    cfg = write_config(
+        tmp_path, "run.json",
+        {**SMALL_RUN, "arch": "mdae", "enc": 4, "hidden_dims": [6],
+         "hidden_activation": "relu", "epochs": 2, "batch_size": 64,
+         "dataset": str(dataset_dir), "out": str(tmp_path / "o")},
+    )
+    script = (
+        "import json, sys\n"
+        "import mvtrace.cli\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "code = mvtrace.cli.main(['run', '--config', sys.argv[1]])\n"
+        "print(json.dumps([code, loaded, [m for m in sys.modules if m.startswith('scipy')]]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(mvtrace.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, after_import, after_run = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and (tmp_path / "o" / "summary.csv").exists()
+    assert "scipy.sparse" in after_import
+    for name in UNUSED_SCIPY:
+        assert name not in after_import and name not in after_run, name
 
 
 class TestGenerate:
@@ -401,6 +436,15 @@ class TestRun:
         ({"learning_rate": "fast"}, "learning_rate must be a number, got 'fast'"),
         ({"cv": {"folds": 2.5}}, "cv.folds must be an integer, got 2.5"),
         ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"squared_rows": "no"}, "squared_rows must be true or false, got 'no'"),
+        ({"alpha": "2"}, "alpha must be a number, got '2'"),
+        ({"eta": True}, "eta must be a number, got True"),
+        ({"arch": "mdae", "hidden_dims": [6.7]},
+         "hidden_dims must be a list of integers, got [6.7]"),
+        ({"arch": "mdae", "enc": 4, "enc_split": [2.9, 2]},
+         "enc_split must be a list of integers, got [2.9, 2]"),
+        ({"arch": "mdae", "hidden_dims": [True]},
+         "hidden_dims must be a list of integers, got [True]"),
     ])
     def test_numeric_field_of_wrong_type_rejected(self, dataset_dir, tmp_path, capsys,
                                                   folds_run, override, message):
@@ -531,6 +575,24 @@ class TestSweep:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError",
                        "message": f"unknown grid[1] field(s): ['{field}']"}
+        assert folds_run == [] and not out.exists()
+
+    @pytest.mark.parametrize("override,message", [
+        ({"alpha": "2"}, "alpha must be a number, got '2'"),
+        ({"squared_rows": 1}, "squared_rows must be true or false, got 1"),
+        ({"enc_split": [2, 1.0]}, "enc_split must be a list of integers, got [2, 1.0]"),
+    ])
+    def test_typed_field_in_point_rejected(self, dataset_dir, tmp_path, capsys, folds_run,
+                                           override, message):
+        out = tmp_path / "s"
+        cfg = write_config(
+            tmp_path, "sweep.json",
+            {**SMALL_RUN, "arch": "mdae", "dataset": str(dataset_dir), "out": str(out),
+             "grid": [{"alpha": 1.0}, {"label": "bad", **override}]},
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": message}
         assert folds_run == [] and not out.exists()
 
     def test_empty_grid_is_config_error(self, dataset_dir, tmp_path, capsys):

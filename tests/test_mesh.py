@@ -7,6 +7,7 @@ from mvtrace.mesh import (
     Mesh,
     OffFormatError,
     build_laplacian,
+    component_count,
     grid_mesh,
     icosphere,
     load_mesh,
@@ -140,6 +141,45 @@ class TestLaplacian:
         assert mesh.face_count == 4
         with pytest.raises(ValueError):
             grid_mesh(1, 5)
+
+
+def scipy_component_count(m, edges):
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    adjacency = sparse.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                                  shape=(m, m))
+    return connected_components(adjacency, directed=False)[0]
+
+
+TWO_TRIANGLES = Mesh(np.vstack([np.eye(3), np.eye(3) + 10.0]), [(0, 1, 2), (3, 4, 5)])
+
+
+class TestComponentCount:
+    @pytest.mark.parametrize("mesh", [
+        icosphere(1), icosphere(2), icosphere(3), grid_mesh(4, 7), TWO_TRIANGLES,
+        # a vertex on no face is a component of its own
+        Mesh(np.vstack([np.eye(3), np.ones((1, 3))]), [(0, 1, 2)]),
+    ], ids=["icosphere-1", "icosphere-2", "icosphere-3", "grid-4x7", "two-triangles",
+            "isolated-vertex"])
+    def test_matches_scipy_on_meshes(self, mesh):
+        edges = mesh.edges()
+        expected = scipy_component_count(mesh.vertex_count, edges)
+        assert component_count(mesh.vertex_count, edges) == expected
+        assert expected == (1 if mesh.vertex_count > 6 else 2)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scipy_on_sparse_random_graphs(self, seed):
+        # fewer edges than vertices, in random label order: many components,
+        # long chains, and roots hooked through several rounds
+        rng = np.random.default_rng(seed)
+        m = 300
+        edges = np.sort(rng.integers(0, m, size=(250, 2)), axis=1)
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        assert component_count(m, edges) == scipy_component_count(m, edges)
+
+    def test_no_edges(self):
+        assert component_count(5, np.empty((0, 2), dtype=np.int64)) == 5
 
 
 class TestQuadraticForm:

@@ -44,10 +44,10 @@ def gradient_check_case(dims, hidden, output, seed, batch=7, kink_margin=1e-3):
         target = rng.standard_normal((batch, dims[-1]))
         if output == "sigmoid":
             target = 1.0 / (1.0 + np.exp(-target))
-        _, (inputs, preacts, outputs) = mlp.forward_cache(x)
+        _, cache = mlp.forward_cache(x)  # each layer's input, then the output
         clear = all(
-            np.abs(z).min() > kink_margin
-            for layer, z in zip(mlp.layers, preacts)
+            np.abs(a @ layer.weights + layer.bias).min() > kink_margin
+            for layer, a in zip(mlp.layers, cache)
             if layer.activation == "relu"
         )
         if clear:
@@ -155,11 +155,60 @@ class TestAdam:
             values.append(abs(params[0][0]))
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    def test_flat_buffer_matches_separate_arrays(self):
+        # Adam is elementwise, so one flat buffer updates every element with
+        # the same bits as the same parameters held as separate arrays
+        rng = np.random.default_rng(4)
+        shapes = [(5, 3), (3,), (3, 2), (2,)]
+        separate = [rng.standard_normal(shape) for shape in shapes]
+        flat = np.concatenate([p.ravel() for p in separate])
+        sep_state = nn.AdamState.for_parameters(separate, learning_rate=1e-2)
+        flat_state = nn.AdamState.for_parameters([flat], learning_rate=1e-2)
+        for _ in range(5):
+            grads = [rng.standard_normal(shape) for shape in shapes]
+            nn.adam_step(sep_state, separate, grads)
+            nn.adam_step(flat_state, [flat], [np.concatenate([g.ravel() for g in grads])])
+            assert np.array_equal(flat, np.concatenate([p.ravel() for p in separate]))
+        for name in ("moment1", "moment2"):
+            joined = np.concatenate([m.ravel() for m in getattr(sep_state, name)])
+            assert np.array_equal(getattr(flat_state, name)[0], joined)
+
     def test_shape_mismatch(self):
         params = [np.zeros(3)]
         state = nn.AdamState.for_parameters(params)
         with pytest.raises(ValueError):
             nn.adam_step(state, params, [np.zeros(4)])
+
+
+class TestSharedBuffers:
+    def test_layers_become_views_with_values_kept(self):
+        rng = np.random.default_rng(6)
+        nets = [nn.MLP.from_dims([4, 3, 2], "relu", "linear", rng),
+                nn.MLP.from_dims([2, 5], "linear", "sigmoid", rng)]
+        before = [p.copy() for net in nets for p in net.parameters()]
+        params, grads, views = nn.share_buffers(nets)
+        after = [p for net in nets for p in net.parameters()]
+        assert params.size == grads.size == sum(p.size for p in before)
+        assert np.array_equal(params, np.concatenate([p.ravel() for p in before]))
+        assert all(np.array_equal(a, b) and a.base is params for a, b in zip(after, before))
+        # the gradient views sit where their parameters sit
+        flat_views = [g for net_views in views for pair in net_views for g in pair]
+        assert [g.shape for g in flat_views] == [p.shape for p in before]
+        for g, p in zip(flat_views, after):
+            g[...] = 7.0
+            assert np.all(params[grads == 7.0] == p.ravel())
+            g[...] = 0.0
+
+    def test_backward_fills_given_gradients(self):
+        mlp, x, target = gradient_check_case([6, 5, 4, 3], "relu", "sigmoid", 0)
+        expected = nn.backward(mlp, x, target)
+        _, grads, (views,) = nn.share_buffers([mlp])
+        out, cache = mlp.forward_cache(x)
+        _, g_in = mlp.backward_cache(cache, nn.mse_loss_gradient(out, target)[1], views,
+                                     input_grad=False)
+        assert g_in is None
+        for (dw, db), (ew, eb) in zip(views, expected):
+            assert np.array_equal(dw, ew) and np.array_equal(db, eb)
 
 
 class TestTraining:
