@@ -20,7 +20,7 @@ from .trace_regression import (
     RegressionDataset,
     RegularizationConfig,
     fit_mfista,
-    predict,
+    predict_many,
 )
 
 REDUCTIONS = ("signed-norm", "mean", "max-abs")
@@ -163,9 +163,11 @@ def run_fold(
     train_latents = np.stack([model.encode_subject(s).z for s in train_subjects])
     if standardize_latents:
         center = train_latents.mean(axis=(0, 1))
-        scale = train_latents.std(axis=(0, 1))
-        scale = np.where(scale < 1e-12, 1.0, scale)
         train_latents -= center  # in place: the stack is a fresh array
+        # each column's population std, without a stack-sized temporary
+        scale = np.sqrt(np.einsum("ijk,ijk->k", train_latents, train_latents)
+                        / (train_latents.shape[0] * train_latents.shape[1]))
+        scale = np.where(scale < 1e-12, 1.0, scale)
         train_latents /= scale
     dataset = RegressionDataset(
         latents=train_latents,
@@ -177,18 +179,22 @@ def run_fold(
     for i in sorted(range(len(penalties)), key=lambda i: -penalties[i][0].alpha):
         fits[i] = fit_mfista(dataset, *penalties[i], init=beta)
         beta = fits[i].beta
-    # one test subject's latents at a time, scored against every fit
-    predictions = [[] for _ in fits]
-    for i in test_idx:
-        z = model.encode_subject(subjects[i]).z
-        if standardize_latents:
-            z = (z - center) / scale
-        for fit, rows in zip(fits, predictions):
-            rows.append((subjects[i].subject_id, subjects[i].score, predict(fit.beta, z)))
+    # the test subjects' latents on the rows some fit keeps (every beta is zero
+    # on the others); each fit is scored on its own rows only, so its
+    # predictions do not depend on the other penalties of the fold
+    supports = [np.flatnonzero(fit.beta.any(axis=1)) for fit in fits]
+    kept = np.unique(np.concatenate(supports))
+    test_latents = np.stack([model.encode_subject(subjects[i]).z[kept] for i in test_idx])
+    if standardize_latents:
+        test_latents -= center
+        test_latents /= scale
+    y_true = np.array([subjects[i].score for i in test_idx])
     results = []
-    for fit, rows in zip(fits, predictions):
-        y_true = np.array([p[1] for p in rows])
-        y_pred = np.array([p[2] for p in rows])
+    for fit, support in zip(fits, supports):
+        y_pred = predict_many(fit.beta[support],
+                              test_latents[:, np.searchsorted(kept, support)])
+        rows = [(subjects[i].subject_id, subjects[i].score, float(p))
+                for i, p in zip(test_idx, y_pred)]
         results.append(FoldResult(
             fold_id=fold_id,
             mse=mean_squared_error(y_true, y_pred),

@@ -15,43 +15,50 @@ only if it does not increase the objective.  A squared-row-norm variant of
 the penalty (differentiable, non-sparsifying) is available for comparison
 via ``RegularizationConfig.squared_rows``.
 
-The step is fixed at 1/L, where L = 2·λmax(XᵀX) + eta·(largest absolute row
-sum of L) bounds the gradient's Lipschitz constant from above: the data part
-is exact (``eigvalsh`` of the subject Gram matrix) and the Laplacian part is
-Gershgorin's bound.  An iteration makes one forward pass (predictions at the
+Each solve's step is fixed at 1/L, where L = 2·λmax(XᵀX) + eta·(largest
+absolute row sum of L) bounds the gradient's Lipschitz constant from above
+on the rows it solves for: the data part is exact (``eigvalsh`` of the
+subject Gram matrix) and the Laplacian part is Gershgorin's bound.  An iteration makes one forward pass (predictions at the
 candidate, for its objective) and one adjoint pass (the gradient at the
 momentum point) over the stacked latents; the momentum point's predictions
 are combined from those already computed.
 
-With the group penalty and alpha > 0, the solver also drops vertex rows that
-a duality gap proves zero at the optimum (dynamic Gap Safe screening, Ndiaye
-et al. 2017).  With L = BᵀB the smooth part is ||ỹ - Ãbeta||² on the
-augmented design Ã = [X; sqrt(eta/2)·B], ỹ = [y; 0].  Every SCREEN_PERIOD
-iterations, at the incumbent x with residual r = y - Xx and gradient
-g = -2·Xᵀr + eta·Lx, the dual point is the residual scaled by
-s = min(1, alpha / max_j ||g_j||), its value is
-D = 2s·yᵀr - s²·(||r||² + eta/2·<x, Lx>), and gap = P(x) - D bounds
-P(x) - P*.  The dual is 1/2-strongly concave, so its optimum lies within
-2·sqrt(gap) of that point, and row j is zero at the optimum when
-s·||g_j|| + 2·sqrt(gap)·sqrt(λmax(X_jᵀX_j) + eta/2·L_jj) < alpha, with
-X_j = latents[:, j, :].  A proven row goes only once it is zero in both the
-incumbent and the momentum point, so no iterate, prediction or objective
-changes when it goes; and the latents, the Laplacian and the iterates are
-copied down to the remaining rows only when at least COMPACT_FRACTION of the
-rows held can go, so each copy is at most half of what it replaces.  The
-squared-row variant is not screened.
+With the group penalty and alpha > 0, the solution keeps few vertex rows,
+so MFISTA runs on a working set W of rows (Celer: Massias, Gramfort & Salmon
+2018; Blitz: Johnson & Guestrin 2015).  The restriction is exact: rows
+outside W are zero, so the model and tr(betaᵀLbeta) = tr(beta_Wᵀ L_WW beta_W)
+only need latents[:, W, :] and L[W][:, W].  The optimality condition of a
+zero row j is ||g_j|| <= alpha for the smooth part's gradient g.  W starts
+from the support of the initial beta; each step adds the rows outside W that
+break the condition, largest ||g_j|| first, up to max(2·|W|,
+WORKING_SET_MIN_GROWTH) rows, and solves the restricted problem from the
+current beta with its own step 1/L_W (L_W <= L, so the step is larger than
+the full problem's).  After each solve one forward and one adjoint pass
+over all rows give the full gradient and the duality gap
+
+    gap = P(beta) - (2s·yᵀr - s²·(||r||² + eta/2·<beta, L beta>)),
+
+with r = y - X·beta and s = min(1, alpha / max_j ||g_j||), which bounds
+P(beta) - P*.  A restricted solve stops on the plateau rule, or once its own
+gap (every GAP_CHECK_PERIOD iterations) is at most WORKING_SET_GAP_RATIO times
+the last full gap; if that early stop leaves no row to add, the same W is
+solved again to its plateau.  The fit ends when a solve reached its plateau
+and no row outside W breaks the condition.  When W would hold more than
+half the rows it becomes every row, and that solve is the plain loop with
+the full step and no gap checks.  ``FistaConfig.max_iters`` bounds all
+solves together.  The squared-row variant and alpha = 0 run the plain loop
+over all rows.
 
 ``evaluation.run_fold`` solves a fold's penalties as a path, in order of
 decreasing alpha, each fit starting from the previous fit's beta through
 ``fit_mfista``'s ``init``; the first starts from zero.  A warm-started fit
-stops on the same plateau rule from another start, and screened sums run
-over fewer rows, so results differ from a cold solve over all rows in the
-last digits, within the solver's accuracy.
+stops on the same plateau rule from another start, and restricted sums run
+over fewer rows with another step, so results differ from a cold solve over
+all rows in the last digits, within the solver's accuracy.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,10 +70,13 @@ from .mesh import GraphLaplacian
 
 logger = logging.getLogger(__name__)
 
-# Gap Safe screening in fit_mfista: rows are tested every SCREEN_PERIOD
-# iterations, and dropped once at least COMPACT_FRACTION of the rows held can go.
-SCREEN_PERIOD = 10
-COMPACT_FRACTION = 0.5
+# fit_mfista's working set W: each step adds up to max(2·|W|,
+# WORKING_SET_MIN_GROWTH) rows (Celer's initial size), and a restricted solve
+# stops once its duality gap, computed every GAP_CHECK_PERIOD iterations, is at
+# most WORKING_SET_GAP_RATIO times the last full gap (Celer's inner tolerance)
+WORKING_SET_MIN_GROWTH = 100
+WORKING_SET_GAP_RATIO = 0.3
+GAP_CHECK_PERIOD = 10
 
 
 class DivergenceError(RuntimeError):
@@ -126,13 +136,6 @@ class RegressionDataset:
                 f"{self.latents.shape[1]}"
             )
 
-    @functools.cached_property
-    def row_gram_max(self) -> np.ndarray:
-        """λmax(X_jᵀX_j) of each vertex row's design block X_j =
-        latents[:, j, :], computed once and shared by every fit on the
-        dataset."""
-        return _row_gram_max(self.latents)
-
     @property
     def n_subjects(self) -> int:
         return self.latents.shape[0]
@@ -140,22 +143,6 @@ class RegressionDataset:
     @property
     def shape(self) -> tuple[int, int]:
         return self.latents.shape[1], self.latents.shape[2]
-
-
-def _row_gram_max(latents: np.ndarray) -> np.ndarray:
-    """Exact λmax of each row's Gram matrix: ``eigvalsh`` of the smaller of
-    X_jX_jᵀ (n × n) and X_jᵀX_j (d × d), 64 rows at a time so that the stack
-    of Gram matrices stays small."""
-    n, m, d = latents.shape
-    out = np.empty(m)
-    for start in range(0, m, 64):
-        block = latents[:, start:start + 64, :].transpose(1, 0, 2)  # (rows, n, d)
-        if n <= d:
-            gram = block @ block.transpose(0, 2, 1)
-        else:
-            gram = block.transpose(0, 2, 1) @ block
-        out[start:start + 64] = np.linalg.eigvalsh(gram)[:, -1]
-    return np.maximum(out, 0.0)
 
 
 def _laplacian_matrix(laplacian):
@@ -232,7 +219,7 @@ def _smooth_gradient(latents, scores, x_beta, l_beta, eta: float) -> np.ndarray:
 
 
 def _duality_gap(latents, scores, beta, x_beta, l_beta, alpha: float, eta: float):
-    """(gap, s, ||g_j||) at beta for the group penalty: the dual point is the
+    """(gap, ||g_j||) at beta for the group penalty: the dual point is the
     residual scaled by s = min(1, alpha / max_j ||g_j||); one adjoint pass."""
     grad_norms = row_norms(_smooth_gradient(latents, scores, x_beta, l_beta, eta))
     top = grad_norms.max(initial=0.0)
@@ -240,7 +227,7 @@ def _duality_gap(latents, scores, beta, x_beta, l_beta, alpha: float, eta: float
     smooth = _smooth_value(beta, scores, x_beta, l_beta, eta)
     primal = smooth + alpha * float(np.sum(row_norms(beta)))
     dual = 2.0 * s * float(scores @ (scores - x_beta)) - s * s * smooth
-    return max(primal - dual, 0.0), s, grad_norms
+    return max(primal - dual, 0.0), grad_norms
 
 
 def smooth_part(beta: np.ndarray, dataset: RegressionDataset, eta: float) -> float:
@@ -344,7 +331,7 @@ def fit_mfista(
     momentum point moves through the candidate.  The returned objective
     sequence (incumbent value per iteration, starting at the initial point)
     is therefore nonincreasing by construction.  The step is 1/L for the
-    upper bound L of ``lipschitz_constant``.
+    upper bound L of ``lipschitz_constant`` on the rows a solve runs on.
 
     Each iteration reads the latents twice: one adjoint pass for the
     gradient at the momentum point y and one forward pass for the
@@ -353,15 +340,20 @@ def fit_mfista(
     combination that forms y, since X is linear.  The sparse products L·y
     and L·z are computed afresh.
 
-    With the group penalty and alpha > 0, every SCREEN_PERIOD iterations
-    (from the first) the duality gap at the incumbent proves rows zero at
-    the optimum (module docstring); the products then run on the remaining
-    rows, and the result is scattered back to all m rows.  ``gap`` is the
-    duality gap at the returned beta, one more adjoint pass.
+    With the group penalty and alpha > 0, MFISTA runs on a growing working
+    set W of vertex rows (module docstring).  Each solve restarts the
+    momentum; a solve on a strict subset takes its own, larger step and also
+    stops once its duality gap is at most WORKING_SET_GAP_RATIO times the
+    last full gap, and a W of more than half the rows becomes every row (the
+    plain loop).  ``iterations`` and ``objectives`` span every solve,
+    ``step_size`` is the last solve's step (0 when beta = 0 already meets
+    the optimality condition and no solve runs), and ``gap`` is the duality
+    gap of the last pass over all rows.
 
-    Stops when the relative objective decrease over a 10-iteration window
-    falls below ``rel_tolerance``, or at ``max_iters`` (then
-    ``converged=False`` and a warning is logged).  Only iterations whose
+    A solve stops when the relative objective decrease over a 10-iteration
+    window falls below ``rel_tolerance``.  ``max_iters`` bounds the
+    iterations of all solves together; reaching it ends the fit with
+    ``converged=False`` and a logged warning.  Only iterations whose
     candidate was accepted count toward the window: a rejected candidate
     leaves the incumbent unchanged, so counting it would read a momentum
     oscillation as a converged plateau.
@@ -378,47 +370,91 @@ def fit_mfista(
     def laplacian_times(beta):
         return None if lap is None else lap @ beta
 
+    px = predict_many(x, latents)
+    fx = _smooth_value(x, scores, px, laplacian_times(x), eta) + penalty(x, reg)
+    if not np.isfinite(fx):
+        raise DivergenceError(f"objective non-finite at the initial point: {fx}")
+    if alpha == 0 or reg.squared_rows:
+        fit = _solve(dataset, reg, x, fx, fista.max_iters, fista.rel_tolerance)
+        if not fit.converged:
+            _warn_max_iters(fista)
+        return fit
+
+    gap, grad_norms = _duality_gap(latents, scores, x, px, laplacian_times(x), alpha, eta)
+    held = x.any(axis=1)
+    objectives = [fx]
+    iterations, fit = 0, None
+    while True:
+        outside = np.flatnonzero(~held & (grad_norms > alpha))
+        if fit is None:
+            if outside.size == 0 and not held.any():
+                break  # beta = 0 meets the optimality condition
+        elif held.all() or iterations >= fista.max_iters or (
+                outside.size == 0 and fit.converged):
+            break
+        grow = max(2 * int(held.sum()), WORKING_SET_MIN_GROWTH)
+        held[outside[np.argsort(-grad_norms[outside], kind="stable")[:grow]]] = True
+        if 2 * held.sum() > m:
+            held[:] = True
+        rows = np.flatnonzero(held)
+        if rows.size == m:
+            sub, gap_stop = dataset, None
+        else:
+            # take() keeps the copy C-ordered, so products reshape it as a view
+            sub = RegressionDataset(latents.take(rows, axis=1), scores,
+                                    None if lap is None else lap[rows][:, rows])
+            # with no row to add (the previous solve stopped on its gap, or a
+            # warm start breaks no condition outside W) it runs to its plateau
+            gap_stop = WORKING_SET_GAP_RATIO * gap if outside.size else None
+        fit = _solve(sub, reg, x[rows], objectives[-1], fista.max_iters - iterations,
+                     fista.rel_tolerance, gap_stop)
+        x = np.zeros((m, d))
+        x[rows] = fit.beta
+        objectives.extend(fit.objectives[1:])
+        iterations += fit.iterations
+        px = predict_many(x, latents)
+        gap, grad_norms = _duality_gap(latents, scores, x, px, laplacian_times(x),
+                                       alpha, eta)
+    converged = outside.size == 0 and (fit is None or fit.converged)
+    if not converged:
+        _warn_max_iters(fista)
+    return FitResult(
+        beta=x,
+        objectives=np.array(objectives),
+        converged=converged,
+        iterations=iterations,
+        step_size=0.0 if fit is None else fit.step_size,
+        gap=gap,
+    )
+
+
+def _solve(dataset, reg, x, fx, max_iters, rel_tolerance, gap_stop=None) -> FitResult:
+    """The MFISTA loop over every row of ``dataset`` from ``x``, whose
+    objective is ``fx``.  ``converged`` means the plateau rule stopped it.
+    With ``gap_stop``, the duality gap at the incumbent is computed every
+    GAP_CHECK_PERIOD iterations, and the loop stops with that ``gap`` once it
+    is at most ``gap_stop``; otherwise ``gap`` is None."""
+    latents, scores, eta, alpha = dataset.latents, dataset.scores, reg.eta, reg.alpha
+    lap = _smooth_laplacian(dataset, eta)
+
+    def laplacian_times(beta):
+        return None if lap is None else lap @ beta
+
     def value(beta, x_beta):
         return (_smooth_value(beta, scores, x_beta, laplacian_times(beta), eta)
                 + penalty(beta, reg))
 
     step = 1.0 / max(lipschitz_constant(dataset, eta), 1e-12)
-
-    # rows: the dataset row of each row held; bound: each row's sqrt(λmax(Ã_jᵀÃ_j))
-    rows = np.arange(m)
-    screen = alpha > 0 and not reg.squared_rows
-    if screen:
-        bound = dataset.row_gram_max
-        if lap is not None:
-            bound = bound + 0.5 * eta * lap.diagonal()
-        bound = np.sqrt(bound)
-        proven = np.zeros(m, dtype=bool)
-
     # px, pz, py: the n predictions X·x, X·z, X·y
     px = predict_many(x, latents)
-    fx = value(x, px)
-    if not np.isfinite(fx):
-        raise DivergenceError(f"objective non-finite at the initial point: {fx}")
     y, py = x, px
     t = 1.0
     objectives = [fx]
     accepted = [fx]
     converged = False
     iterations = 0
-    for k in range(fista.max_iters):
-        if screen and k % SCREEN_PERIOD == 0:
-            gap, s, grad_norms = _duality_gap(latents, scores, x, px, laplacian_times(x),
-                                              alpha, eta)
-            proven |= s * grad_norms + 2.0 * np.sqrt(gap) * bound < alpha
-            drop = proven & ~x.any(axis=1) & ~y.any(axis=1)
-            if drop.any() and drop.sum() >= COMPACT_FRACTION * len(rows):
-                held = np.flatnonzero(~drop)
-                rows, bound, proven = rows[held], bound[held], proven[held]
-                # take() keeps the copy C-ordered, so products reshape it as a view
-                latents = latents.take(held, axis=1)
-                if lap is not None:
-                    lap = lap[held][:, held]
-                x, y = x[held], y[held]
+    gap = None
+    for k in range(max_iters):
         grad = _smooth_gradient(latents, scores, py, laplacian_times(y), eta)
         z = _prox(y - step * grad, step * alpha, reg)
         pz = predict_many(z, latents)
@@ -442,21 +478,14 @@ def fit_mfista(
         iterations = k + 1
         if len(accepted) > 10:
             past = accepted[-11]
-            if past - accepted[-1] < fista.rel_tolerance * max(abs(past), 1e-12):
+            if past - accepted[-1] < rel_tolerance * max(abs(past), 1e-12):
                 converged = True
                 break
-    if not converged:
-        logger.warning(
-            "MFISTA stopped at max_iters=%d without meeting rel_tolerance=%g",
-            fista.max_iters, fista.rel_tolerance,
-        )
-    gap = None
-    if screen:
-        gap = _duality_gap(latents, scores, x, px, laplacian_times(x), alpha, eta)[0]
-    if len(rows) < m:
-        beta = np.zeros((m, d))
-        beta[rows] = x
-        x = beta
+        if gap_stop is not None and iterations % GAP_CHECK_PERIOD == 0:
+            inner = _duality_gap(latents, scores, x, px, laplacian_times(x), alpha, eta)[0]
+            if inner <= gap_stop:
+                gap = inner
+                break
     return FitResult(
         beta=x,
         objectives=np.array(objectives),
@@ -464,6 +493,13 @@ def fit_mfista(
         iterations=iterations,
         step_size=step,
         gap=gap,
+    )
+
+
+def _warn_max_iters(fista: FistaConfig) -> None:
+    logger.warning(
+        "MFISTA stopped at max_iters=%d without meeting rel_tolerance=%g",
+        fista.max_iters, fista.rel_tolerance,
     )
 
 

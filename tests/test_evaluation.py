@@ -316,6 +316,27 @@ class TestWarmPath:
             assert np.array_equal(a.beta, b.beta)
             assert (a.mse, a.r2, a.predictions) == (b.mse, b.r2, b.predictions)
 
+    def test_predictions_are_inner_products_over_every_row(self, planted):
+        # run_fold scores on the rows a fit keeps; the full z-scored latents
+        # must give the same predictions up to rounding
+        from mvtrace.trace_regression import predict
+
+        subjects, lap, _ = planted
+        plan = ev.make_folds(40, 4, seed=11)
+        results = self.fold(subjects, lap, self.PENALTIES)
+        train = [subjects[i] for i in plan.train_indices(1)]
+        model = PcaSpec(enc=4).fit(train, 5)
+        stack = np.stack([model.encode_subject(s).z for s in train])
+        center, scale = stack.mean(axis=(0, 1)), stack.std(axis=(0, 1))
+        for result in results:
+            assert 0 < np.count_nonzero(result.beta.any(axis=1)) < len(result.beta)
+            for subject_id, score, prediction in result.predictions:
+                subject = next(s for s in subjects if s.subject_id == subject_id)
+                z = (model.encode_subject(subject).z - center) / scale
+                assert score == subject.score
+                assert prediction == pytest.approx(predict(result.beta, z), rel=1e-12,
+                                                   abs=1e-12)
+
     def test_strongest_alpha_is_a_cold_single_fit(self, planted):
         subjects, lap, _ = planted
         swept = self.fold(subjects, lap, self.PENALTIES)[1]

@@ -1,7 +1,6 @@
-import itertools
-
 import numpy as np
 import pytest
+from conftest import PATH_OBJECTIVE_RTOL
 
 from mvtrace.mesh import build_laplacian, grid_mesh
 from mvtrace.trace_regression import (
@@ -362,7 +361,7 @@ class TestMfista:
 
 
 class TestScreening:
-    """Gap Safe screening drops rows proven zero without moving the iterates."""
+    """Rows the fit returns as zero, and its duality gap."""
 
     TIGHT = FistaConfig(max_iters=200_000, rel_tolerance=1e-13)
 
@@ -379,47 +378,6 @@ class TestScreening:
             alpha_max = row_norms(smooth_gradient(np.zeros((30, 3)), ds, 0.0)).max()
             for fraction in (0.2, 0.5):
                 yield ds, RegularizationConfig(alpha=fraction * alpha_max, eta=1.0)
-
-    @pytest.fixture
-    def rows_held(self, monkeypatch):
-        """Rows of the latents each forward pass of fit_mfista reads."""
-        import mvtrace.trace_regression as tr
-
-        held = []
-
-        def recording(beta, latents):
-            held.append(latents.shape[1])
-            return predict_many(beta, latents)
-
-        monkeypatch.setattr(tr, "predict_many", recording)
-        return held
-
-    def test_matches_unscreened_loop(self, rows_held):
-        fista = FistaConfig(max_iters=3000)
-        screened = 0
-        for ds, reg in self.instances():
-            rows_held.clear()
-            fit = fit_mfista(ds, reg, fista)
-            screened += min(rows_held) < 30
-            _, objectives = unscreened_mfista(ds, reg, fit.step_size, fista)
-            assert fit.converged and fit.iterations == len(objectives) - 1
-            assert np.allclose(fit.objectives, objectives, rtol=1e-10, atol=0)
-        assert screened >= 10  # of 12 fits
-
-    def test_warm_start_matches_unscreened_loop(self, rows_held):
-        fista = FistaConfig(max_iters=3000)
-        screened = 0
-        for (ds, reg), factor in itertools.product(self.instances(), (2.0, 0.5)):
-            # from the solution at twice alpha (sparser) and at half (denser)
-            other = RegularizationConfig(alpha=factor * reg.alpha, eta=reg.eta)
-            init = fit_mfista(ds, other, fista).beta
-            rows_held.clear()
-            fit = fit_mfista(ds, reg, fista, init=init)
-            screened += min(rows_held) < 30
-            _, objectives = unscreened_mfista(ds, reg, fit.step_size, fista, init=init)
-            assert fit.iterations == len(objectives) - 1
-            assert np.allclose(fit.objectives, objectives, rtol=1e-10, atol=0)
-        assert screened >= 20  # of 24 fits
 
     def test_zero_rows_zero_in_tight_solve(self):
         for ds, reg in self.instances():
@@ -443,13 +401,134 @@ class TestScreening:
         assert fit_mfista(ds, squared).gap is None
         assert fit_mfista(ds, RegularizationConfig(alpha=1.0, eta=0)).gap >= 0.0
 
-    def test_row_bounds_are_row_spectral_norms(self):
-        ds, _ = random_dataset(70, 3, 5, seed=31)  # n > d, and more than one chunk
-        wide, _ = random_dataset(3, 8, 5, seed=32)  # n < d
-        for data in (ds, wide):
-            expect = [np.linalg.norm(data.latents[:, j, :], 2) ** 2
-                      for j in range(data.shape[0])]
-            assert np.allclose(data.row_gram_max, expect, rtol=1e-10, atol=0)
+
+class TestWorkingSet:
+    """fit_mfista solves on a growing set of vertex rows, and ends with the
+    rows outside it meeting the optimality condition."""
+
+    M = 240
+    TIGHT = FistaConfig(max_iters=200_000, rel_tolerance=1e-13)
+
+    @staticmethod
+    def instances(rows=15, cols=16, fractions=(0.05, 0.2)):
+        """Sparse planted problems on a rows × cols grid, at a weak and a
+        strong alpha (fractions of the smallest alpha that zeroes every row).
+        On the default 240-vertex grid the first working set (at most 100
+        rows) is a strict subset."""
+        m = rows * cols
+        lap = build_laplacian(grid_mesh(rows, cols))
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            beta = np.zeros((m, 3))
+            beta[rng.choice(m, 6, replace=False)] = rng.standard_normal((6, 3))
+            ds, _ = random_dataset(m, 3, 30, seed=seed, laplacian=lap, beta=beta, noise=0.5)
+            alpha_max = row_norms(smooth_gradient(np.zeros((m, 3)), ds, 0.0)).max()
+            for fraction in fractions:
+                yield ds, RegularizationConfig(alpha=fraction * alpha_max, eta=1.0)
+
+    def tight(self, ds, reg):
+        """A 1e-13-tolerance solve over every row with the full step."""
+        step = 1.0 / lipschitz_constant(ds, reg.eta)
+        return unscreened_mfista(ds, reg, step, self.TIGHT)[0]
+
+    @pytest.fixture
+    def rows_held(self, monkeypatch):
+        """Rows of the latents each forward pass of fit_mfista reads."""
+        import mvtrace.trace_regression as tr
+
+        held = []
+
+        def recording(beta, latents):
+            held.append(latents.shape[1])
+            return predict_many(beta, latents)
+
+        monkeypatch.setattr(tr, "predict_many", recording)
+        return held
+
+    def test_solves_on_growing_row_subsets(self, rows_held):
+        grown = 0
+        for ds, reg in self.instances():
+            rows_held.clear()
+            fit = fit_mfista(ds, reg, FistaConfig(max_iters=3000))
+            restricted = [rows for rows in rows_held if rows < self.M]
+            assert restricted
+            grown += any(b > a for a, b in zip(restricted, restricted[1:]))
+            assert fit.converged and len(fit.objectives) == fit.iterations + 1
+            assert np.all(np.diff(fit.objectives) <= 0.0)
+        assert grown >= 2  # of 8 fits
+
+    def test_restricted_solve_stops_on_its_gap(self, monkeypatch):
+        import mvtrace.trace_regression as tr
+
+        solves = []
+        solve = tr._solve
+
+        def recording(dataset, reg, x, fx, max_iters, rel_tolerance, gap_stop=None):
+            fit = solve(dataset, reg, x, fx, max_iters, rel_tolerance, gap_stop)
+            solves.append((dataset.shape[0], gap_stop, fit))
+            return fit
+
+        monkeypatch.setattr(tr, "_solve", recording)
+        gap_stops = 0
+        for ds, reg in self.instances():
+            solves.clear()
+            fit_mfista(ds, reg, FistaConfig(max_iters=3000))
+            assert solves[-1][2].converged and solves[-1][2].gap is None
+            for (rows, gap_stop, fit), (next_rows, next_stop, _) in zip(solves, solves[1:]):
+                if fit.gap is None:
+                    continue
+                gap_stops += 1
+                assert fit.gap <= gap_stop and not fit.converged
+                # a gap stop with no row to add is solved again to its plateau
+                assert next_rows > rows or next_stop is None
+        assert gap_stops >= 8
+
+    def test_zero_rows_zero_in_tight_solve(self):
+        for ds, reg in self.instances():
+            fit = fit_mfista(ds, reg, FistaConfig(max_iters=3000))
+            zero = row_norms(fit.beta) == 0
+            assert zero.sum() >= self.M // 2
+            assert np.all(row_norms(self.tight(ds, reg))[zero] == 0)
+
+    def test_zero_rows_meet_optimality_condition(self):
+        for ds, reg in self.instances():
+            fit = fit_mfista(ds, reg, FistaConfig(max_iters=3000))
+            assert fit.converged
+            zero = row_norms(fit.beta) == 0
+            grad_norms = row_norms(smooth_gradient(fit.beta, ds, reg.eta))
+            assert np.all(grad_norms[zero] <= reg.alpha)
+
+    def test_objective_near_tight_solve(self):
+        for ds, reg in self.instances():
+            fit = fit_mfista(ds, reg, FistaConfig(max_iters=3000))
+            best = objective(self.tight(ds, reg), ds, reg)
+            assert objective(fit.beta, ds, reg) - best <= PATH_OBJECTIVE_RTOL * abs(best)
+
+    def test_tiny_alpha_is_the_plain_all_rows_solve(self):
+        # every row breaks the optimality condition at zero, and 100 rows are
+        # more than half of this 180-vertex grid, so the first working set
+        # is every row
+        import mvtrace.trace_regression as tr
+
+        fista = FistaConfig(max_iters=3000)
+        for ds, reg in self.instances(12, 15, fractions=(1e-4,)):
+            zero = np.zeros(ds.shape)
+            assert np.all(row_norms(smooth_gradient(zero, ds, reg.eta)) > reg.alpha)
+            fit = fit_mfista(ds, reg, fista)
+            plain = tr._solve(ds, reg, zero, objective(zero, ds, reg), fista.max_iters,
+                              fista.rel_tolerance)
+            assert np.array_equal(fit.beta, plain.beta)
+            assert np.array_equal(fit.objectives, plain.objectives)
+            assert fit.iterations == plain.iterations
+            assert fit.step_size == plain.step_size == 1.0 / lipschitz_constant(ds, reg.eta)
+
+    def test_max_iters_bounds_every_solve_together(self):
+        for ds, reg in self.instances():
+            full = fit_mfista(ds, reg, FistaConfig(max_iters=3000))
+            budget = full.iterations // 2
+            fit = fit_mfista(ds, reg, FistaConfig(max_iters=budget))
+            assert fit.iterations == budget and not fit.converged
+            assert len(fit.objectives) == budget + 1
 
 
 class TestDataset:
