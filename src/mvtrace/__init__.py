@@ -9,7 +9,7 @@ group-sparsity penalty, solved by monotone FISTA.
 __version__ = "0.1.0"
 
 from .mesh import Mesh, GraphLaplacian, load_mesh, build_laplacian, quadratic_form
-from .data import SubjectRecord, LatentSubject
+from .data import SubjectRecord
 from .trace_regression import (
     RegularizationConfig,
     FistaConfig,
@@ -24,7 +24,6 @@ __all__ = [
     "build_laplacian",
     "quadratic_form",
     "SubjectRecord",
-    "LatentSubject",
     "RegularizationConfig",
     "FistaConfig",
     "RegressionDataset",

@@ -30,13 +30,13 @@ w.r.t. the model's inputs is never formed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import nn
-from .data import LatentSubject, SubjectRecord, stack_views
+from .data import SubjectRecord, stack_views
 from .pca import PcaModel, fit_pca, pca_encode
 
 KINDS = ("monomodal-task", "monomodal-rest", "concat-ae", "mdae")
@@ -162,27 +162,13 @@ class FeatureScaler:
             return standardized
         return (standardized - self.minmax_low) / self.minmax_span
 
-    @classmethod
-    def concat(cls, parts: list["FeatureScaler"]) -> "FeatureScaler":
-        """One scaler over adjacent column blocks, each part fit on its own
-        block."""
-        def join(name):
-            values = [getattr(p, name) for p in parts]
-            return None if values[0] is None else np.concatenate(values)
-        return cls(*(join(f.name) for f in fields(cls)))
-
-    def columns(self, cols: slice) -> "FeatureScaler":
-        """The statistics of the columns ``cols``."""
-        values = (getattr(self, f.name) for f in fields(self))
-        return FeatureScaler(*(None if v is None else v[cols] for v in values))
-
 
 class _SubjectEncoderMixin:
     """Vertex-wise subject encoding shared by all view-based models."""
 
-    def encode_subject(self, subject: SubjectRecord) -> LatentSubject:
-        z = self.encode_pair(subject.x_task, subject.x_rest)
-        return LatentSubject(subject_id=subject.subject_id, z=np.atleast_2d(z))
+    def encode_subject(self, subject: SubjectRecord) -> np.ndarray:
+        """The subject's (m, d) latent matrix: one row per vertex."""
+        return self.encode_pair(subject.x_task, subject.x_rest)
 
 
 def _columns(x_task: np.ndarray, x_rest: np.ndarray, cols: slice) -> np.ndarray:
@@ -201,54 +187,42 @@ def _columns(x_task: np.ndarray, x_rest: np.ndarray, cols: slice) -> np.ndarray:
     )
 
 
-def _batches(*views) -> list[np.ndarray]:
-    return [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in views]
-
-
 class Autoencoder(_SubjectEncoderMixin):
     """Encoders over column blocks of ``[task | rest]``, their codes
     concatenated in block order, and one decoder per block that reads the
     whole code.
 
-    ``scaler`` covers the model's input columns: the blocks' columns in
-    order.  ``epoch_losses`` holds, per epoch, the summed training MSE
-    followed by each decoder's.
+    ``scalers`` holds one FeatureScaler per block, fit on that block's
+    columns alone.  ``epoch_losses`` holds, per epoch, the summed training
+    MSE followed by each decoder's.
     """
 
-    def __init__(self, config, view, scaler, encoders, decoders, epoch_losses):
+    def __init__(self, config, view, scalers, encoders, decoders, epoch_losses):
         self.config = config
         self.view = view
-        self.scaler = scaler
+        self.scalers = list(scalers)
         self.encoders = list(encoders)
         self.decoders = list(decoders)
         self.epoch_losses = epoch_losses
         self.blocks = [cols for cols, _ in config.blocks(view)]
-        first = self.blocks[0].start
-        self._scalers = [
-            scaler.columns(slice(c.start - first, c.stop - first)) for c in self.blocks
-        ]
 
-    def _encode(self, x_task, x_rest) -> np.ndarray:
+    def encode_pair(self, x_task, x_rest) -> np.ndarray:
+        """The (n, enc) codes of n rows of each view (2-D arrays)."""
         return np.concatenate(
             [
                 encoder.forward(scaler.transform(_columns(x_task, x_rest, cols)))
-                for encoder, scaler, cols in zip(self.encoders, self._scalers, self.blocks)
+                for encoder, scaler, cols in zip(self.encoders, self.scalers, self.blocks)
             ],
             axis=1,
         )
 
-    def encode_pair(self, x_task, x_rest) -> np.ndarray:
-        z = self._encode(*_batches(x_task, x_rest))
-        return z[0] if np.ndim(x_task) == 1 else z
-
     def reconstruction_mse(self, x_task, x_rest) -> float:
         """Summed per-decoder reconstruction MSE in the (normalized) target
         space."""
-        x_task, x_rest = _batches(x_task, x_rest)
-        z = self._encode(x_task, x_rest)
+        z = self.encode_pair(x_task, x_rest)
         return sum(
             nn.mse_loss(decoder.forward(z), scaler.target(_columns(x_task, x_rest, cols)))
-            for decoder, scaler, cols in zip(self.decoders, self._scalers, self.blocks)
+            for decoder, scaler, cols in zip(self.decoders, self.scalers, self.blocks)
         )
 
 
@@ -310,7 +284,7 @@ def train_autoencoder(
         for cols, _ in blocks
     ]
     params, grads, net_grads = nn.share_buffers(encoders + decoders)
-    state = nn.AdamState.for_parameters([params], learning_rate)
+    state = nn.AdamState.for_parameters(params, learning_rate)
     ends = list(itertools.accumulate(width for _, width in blocks))
     code_cols = [slice(end - width, end) for (_, width), end in zip(blocks, ends)]
     n = x_task.shape[0]
@@ -333,14 +307,12 @@ def train_autoencoder(
             losses = _step(encoders, decoders, code_cols,
                            [x[rows] for x in shuffled_inputs],
                            [t[rows] for t in shuffled_targets], net_grads)
-            nn.adam_step(state, [params], [grads])
+            nn.adam_step(state, params, grads)
             size = min(batch_size, n - start)
             for i, loss in enumerate([sum(losses), *losses]):
                 totals[i] += loss * size
         epoch_losses.append(tuple(total / n for total in totals))
-    return Autoencoder(
-        config, view, FeatureScaler.concat(scalers), encoders, decoders, epoch_losses
-    )
+    return Autoencoder(config, view, scalers, encoders, decoders, epoch_losses)
 
 
 def _step(encoders, decoders, code_cols, inputs, targets, net_grads):
@@ -375,10 +347,7 @@ class PcaRepresentation(_SubjectEncoderMixin):
         self.model = model
 
     def encode_pair(self, x_task, x_rest) -> np.ndarray:
-        x = np.concatenate(
-            [np.asarray(x_task, dtype=np.float64), np.asarray(x_rest, dtype=np.float64)],
-            axis=-1,
-        )
+        x = np.concatenate([x_task, x_rest], axis=1)
         return pca_encode(self.model, self.scaler.transform(x))
 
 
@@ -386,10 +355,7 @@ class RawRepresentation(_SubjectEncoderMixin):
     """Identity passthrough of the concatenated views."""
 
     def encode_pair(self, x_task, x_rest) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(x_task, dtype=np.float64), np.asarray(x_rest, dtype=np.float64)],
-            axis=-1,
-        )
+        return np.concatenate([x_task, x_rest], axis=1)
 
 
 class OracleRepresentation:
@@ -401,10 +367,10 @@ class OracleRepresentation:
         if len(dims) != 1:
             raise ValueError("oracle latents disagree on latent dim")
 
-    def encode_subject(self, subject: SubjectRecord) -> LatentSubject:
+    def encode_subject(self, subject: SubjectRecord) -> np.ndarray:
         if subject.subject_id not in self.latents:
             raise KeyError(f"no oracle latent for subject {subject.subject_id!r}")
-        return LatentSubject(subject.subject_id, self.latents[subject.subject_id])
+        return self.latents[subject.subject_id]
 
 
 # --- fit specs consumed by the evaluation harness ---------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -239,8 +240,8 @@ def _build_reg_fista(cfg: dict):
         reg = RegularizationConfig(
             alpha=cfg["alpha"], eta=cfg["eta"], squared_rows=cfg["squared_rows"],
         )
-        fista = FistaConfig(**cfg.get("fista", {}))
-    except (TypeError, ValueError) as exc:
+        fista = FistaConfig(**cfg["fista"])
+    except ValueError as exc:  # _check_numbers has checked every type
         raise ConfigError(f"invalid regularization/fista config: {exc}") from exc
     return reg, fista
 
@@ -250,22 +251,29 @@ def _build_reg_fista(cfg: dict):
 RUN_FIELDS = set(RUN_DEFAULTS) | {"dataset", "out", "grid"}
 POINT_FIELDS = (RUN_FIELDS - {"out", "grid"}) | {"label"}
 CV_FIELDS = {"folds", "seed"}
+FISTA_FIELDS = {f.name for f in fields(FistaConfig)}
 # a grid point that changes only these shares each fold's representation fit
 PENALTY_FIELDS = {"alpha", "eta", "squared_rows", "fista", "label"}
 
 
 def _check_numbers(cfg: dict) -> None:
     """A ConfigError naming the first typed field of the wrong type.
-    Integer fields and the entries of ``hidden_dims`` and ``enc_split`` must
-    be an int, ``learning_rate``, ``alpha`` and ``eta`` an int or float,
-    never a bool, and ``squared_rows`` a bool; nothing is cast, so nothing
-    is truncated or read as true."""
+    ``cv`` and ``fista`` must be objects of their own fields.  Integer
+    fields and the entries of ``hidden_dims`` and ``enc_split`` must be an
+    int, ``learning_rate``, ``alpha``, ``eta`` and ``fista.rel_tolerance`` a
+    finite int or float, never a bool, and ``squared_rows`` a bool; nothing
+    is cast, so nothing is truncated or read as true."""
     def is_int(value):
         return isinstance(value, int) and not isinstance(value, bool)
 
+    for name, allowed in (("cv", CV_FIELDS), ("fista", FISTA_FIELDS)):
+        if not isinstance(cfg[name], dict):
+            raise ConfigError(f"{name} must be an object")
+        _check_fields(cfg[name], allowed, name)
     integers = {name: cfg[name] for name in ("enc", "epochs", "batch_size", "seed")}
     integers["cv.folds"] = cfg["cv"].get("folds", 10)
     integers["cv.seed"] = cfg["cv"].get("seed", cfg["seed"])
+    integers["fista.max_iters"] = cfg["fista"].get("max_iters", FistaConfig.max_iters)
     for name, value in integers.items():
         if not is_int(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -273,10 +281,14 @@ def _check_numbers(cfg: dict) -> None:
         value = cfg[name]
         if value is not None and not (isinstance(value, list) and all(map(is_int, value))):
             raise ConfigError(f"{name} must be a list of integers, got {value!r}")
-    for name in ("learning_rate", "alpha", "eta"):
-        value = cfg[name]
+    numbers = {name: cfg[name] for name in ("learning_rate", "alpha", "eta")}
+    numbers["fista.rel_tolerance"] = cfg["fista"].get("rel_tolerance",
+                                                      FistaConfig.rel_tolerance)
+    for name, value in numbers.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     if not isinstance(cfg["squared_rows"], bool):
         raise ConfigError(f"squared_rows must be true or false, got {cfg['squared_rows']!r}")
     jobs = cfg["jobs"]
@@ -330,10 +342,6 @@ def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
     configs, points, penalties, groups = [], [], [], {}
     for i, overrides in enumerate(grid):
         merged = {**cfg, **overrides}
-        cv_cfg = merged["cv"]
-        if not isinstance(cv_cfg, dict):
-            raise ConfigError("cv must be an object")
-        _check_fields(cv_cfg, CV_FIELDS, "cv")
         _check_numbers(merged)
         configs.append(merged)
         points.append(evaluation.SweepPoint(labels[i], _build_spec(merged)))
@@ -353,9 +361,8 @@ def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
             len(subjects), cv_cfg.get("folds", 10), cv_cfg.get("seed", base["seed"])
         )
         results = evaluation.run_cv(
-            subjects, laplacian, points[indices[0]].spec, plan=plan,
-            seed=base["seed"], jobs=base["jobs"],
-            penalties=[penalties[i] for i in indices],
+            subjects, laplacian, points[indices[0]].spec,
+            [penalties[i] for i in indices], plan, seed=base["seed"], jobs=base["jobs"],
         )
         for i, result in zip(indices, results):
             entries[i] = (points[i], result)

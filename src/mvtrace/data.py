@@ -49,19 +49,6 @@ class SubjectRecord:
         return self.x_task.shape[0]
 
 
-@dataclass
-class LatentSubject:
-    """Encoded subject: one latent row per vertex (m x d)."""
-
-    subject_id: str
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
-        if self.z.ndim != 2:
-            raise ValueError("latent matrix must be 2-D (vertices x latent dim)")
-
-
 def save_dataset(
     directory,
     subjects: list[SubjectRecord],

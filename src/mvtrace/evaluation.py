@@ -160,7 +160,7 @@ def run_fold(
         raise ValueError("empty penalty list")
     train_subjects = [subjects[i] for i in train_idx]
     model = spec.fit(train_subjects, int(fit_seed))
-    train_latents = np.stack([model.encode_subject(s).z for s in train_subjects])
+    train_latents = np.stack([model.encode_subject(s) for s in train_subjects])
     if standardize_latents:
         center = train_latents.mean(axis=(0, 1))
         train_latents -= center  # in place: the stack is a fresh array
@@ -184,7 +184,7 @@ def run_fold(
     # predictions do not depend on the other penalties of the fold
     supports = [np.flatnonzero(fit.beta.any(axis=1)) for fit in fits]
     kept = np.unique(np.concatenate(supports))
-    test_latents = np.stack([model.encode_subject(subjects[i]).z[kept] for i in test_idx])
+    test_latents = np.stack([model.encode_subject(subjects[i])[kept] for i in test_idx])
     if standardize_latents:
         test_latents -= center
         test_latents /= scale
@@ -223,35 +223,26 @@ def run_cv(
     subjects: list[SubjectRecord],
     laplacian,
     spec,
-    reg: RegularizationConfig | None = None,
-    fista: FistaConfig | None = None,
-    plan: CvPlan | None = None,
+    penalties: list[tuple[RegularizationConfig, FistaConfig]],
+    plan: CvPlan,
     *,
     seed: int = 0,
     jobs: int = 1,
     standardize_latents: bool = True,
-    penalties: list[tuple[RegularizationConfig, FistaConfig]] | None = None,
-) -> CvResult | list[CvResult]:
+) -> list[CvResult]:
     """Full k-fold cross-validation of representation + trace regression.
 
-    Fold fit seeds derive from ``seed`` through a SeedSequence, so results
-    are reproducible and independent of ``jobs``.
-
-    ``penalties``, a list of (reg, fista) pairs, replaces ``reg`` and
-    ``fista``: each fold's representation is fit once for every pair (see
-    ``run_fold``) and one CvResult per pair comes back, in pair order.
-    Given ``reg`` and ``fista`` instead (None takes the defaults, as in
-    ``fit_mfista``), the one CvResult comes back alone.
+    ``penalties`` is a list of (reg, fista) pairs: each fold's representation
+    is fit once for every pair (see ``run_fold``) and one CvResult per pair
+    comes back, in pair order.  Fold fit seeds derive from ``seed`` through a
+    SeedSequence, so results are reproducible and independent of ``jobs``.
     """
-    pairs = [(reg or RegularizationConfig(), fista)] if penalties is None else penalties
-    if not pairs:
+    if not penalties:
         raise ValueError("empty penalty list")
-    if plan is None:
-        plan = make_folds(len(subjects), min(10, len(subjects)), seed)
     fold_seeds = np.random.SeedSequence(seed).generate_state(plan.n_folds)
     payloads = [
         (
-            subjects, laplacian, spec, pairs,
+            subjects, laplacian, spec, penalties,
             plan.train_indices(f), plan.test_indices(f), f, int(fold_seeds[f]),
             standardize_latents,
         )
@@ -264,9 +255,8 @@ def run_cv(
             folds = list(pool.map(_run_fold_payload, payloads))
     else:
         folds = [_run_fold_payload(p) for p in payloads]
-    results = [CvResult.from_folds([fold[p] for fold in folds])
-               for p in range(len(pairs))]
-    return results[0] if penalties is None else results
+    return [CvResult.from_folds([fold[p] for fold in folds])
+            for p in range(len(penalties))]
 
 
 @dataclass

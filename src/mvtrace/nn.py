@@ -16,7 +16,8 @@ A training step does little work beyond its GEMMs:
 * ``mse_loss_gradient`` forms the loss and its gradient from one difference;
 * ``share_buffers`` seats a set of networks' weights and biases in one flat
   parameter array with a matching flat gradient array, which the backward
-  passes fill in place, so Adam updates every parameter in one call.
+  passes fill in place, so Adam updates every parameter in one call on one
+  array (``AdamState`` holds its two moment arrays).
 
 Each of these keeps every element's arithmetic as the plain formula has it,
 so a fixed seed and BLAS thread count give the same bits.  ``scipy.special``
@@ -25,7 +26,7 @@ is imported only when a sigmoid layer runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,8 +195,6 @@ def _layer_forward(layer: DenseLayer, a: np.ndarray) -> np.ndarray:
 
 def _as_batch(x: np.ndarray, expected_dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != expected_dim:
         raise ValueError(f"input shape {x.shape} incompatible with fan_in {expected_dim}")
     return x
@@ -269,51 +268,47 @@ def share_buffers(nets: list[MLP]):
 
 @dataclass
 class AdamState:
-    """Adam accumulator state over a fixed parameter list."""
+    """Adam accumulator state of one parameter array (a flat buffer from
+    ``share_buffers`` holds every parameter of a model): the first and
+    second moment arrays, shaped like the parameters."""
 
+    moment1: np.ndarray
+    moment2: np.ndarray
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    moment1: list[np.ndarray] = field(default_factory=list)
-    moment2: list[np.ndarray] = field(default_factory=list)
     timestep: int = 0
 
     @classmethod
-    def for_parameters(cls, params: list[np.ndarray], learning_rate: float = 1e-3) -> "AdamState":
-        return cls(
-            learning_rate=learning_rate,
-            moment1=[np.zeros_like(p) for p in params],
-            moment2=[np.zeros_like(p) for p in params],
-        )
+    def for_parameters(cls, params: np.ndarray, learning_rate: float = 1e-3) -> "AdamState":
+        return cls(np.zeros_like(params), np.zeros_like(params), learning_rate)
 
 
-def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]):
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """One bias-corrected Adam update, applied to ``params`` in place."""
-    if len(params) != len(state.moment1) or len(params) != len(grads):
-        raise ValueError("params/grads length mismatch with Adam state")
+    if params.shape != grads.shape:
+        raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
     state.timestep += 1
     t = state.timestep
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for p, g, m, v in zip(params, grads, state.moment1, state.moment2):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g², and
-        # p -= lr*(m/c1) / (sqrt(v/c2) + eps), through two scratch arrays
-        scratch = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += scratch
-        np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - b2
-        v *= b2
-        v += scratch
-        np.divide(v, c2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += state.epsilon
-        update = m / c1
-        update *= state.learning_rate
-        update /= scratch
-        p -= update
+    m, v = state.moment1, state.moment2
+    # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g², and
+    # p -= lr*(m/c1) / (sqrt(v/c2) + eps), through two scratch arrays
+    scratch = np.multiply(grads, 1.0 - b1)
+    m *= b1
+    m += scratch
+    np.multiply(grads, grads, out=scratch)
+    scratch *= 1.0 - b2
+    v *= b2
+    v += scratch
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.epsilon
+    update = m / c1
+    update *= state.learning_rate
+    update /= scratch
+    params -= update
     return params

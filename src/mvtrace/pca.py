@@ -59,29 +59,20 @@ def fit_pca(data: np.ndarray, enc: int, *, max_rows: int = 200_000, seed: int = 
 
 
 def pca_encode(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    """Project onto the principal directions: components @ (x - mean)."""
+    """Project the rows of ``x`` (N x d) onto the principal directions:
+    (x - mean) @ componentsᵀ, an N x enc array."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != model.mean.shape[0]:
-        raise ValueError(
-            f"feature dim {x.shape[1]} != model dim {model.mean.shape[0]}"
-        )
-    z = (x - model.mean) @ model.components.T
-    return z[0] if single else z
+    if x.ndim != 2 or x.shape[1] != model.mean.shape[0]:
+        raise ValueError(f"input shape {x.shape} != (N, {model.mean.shape[0]})")
+    return (x - model.mean) @ model.components.T
 
 
 def pca_decode(model: PcaModel, z: np.ndarray) -> np.ndarray:
-    """Map codes back to data space: mean + z @ components."""
+    """Map the rows of ``z`` (N x enc) back to data space: mean + z @ components."""
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-    if z.shape[1] != model.enc:
-        raise ValueError(f"code dim {z.shape[1]} != enc {model.enc}")
-    x = model.mean + z @ model.components
-    return x[0] if single else x
+    if z.ndim != 2 or z.shape[1] != model.enc:
+        raise ValueError(f"code shape {z.shape} != (N, {model.enc})")
+    return model.mean + z @ model.components
 
 
 def reconstruction_mse(model: PcaModel, data: np.ndarray) -> float:

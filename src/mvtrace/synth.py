@@ -73,6 +73,10 @@ class GeneratorConfig:
         else:
             self.view_noise_sigma = tuple(float(v) for v in self.view_noise_sigma)
         self.loading_weights = tuple(float(w) for w in self.loading_weights)
+        for name in ("noise_sigma", "view_noise_sigma", "loading_weights", "smoothing",
+                     "rest_nuisance_scale"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.noise_sigma < 0 or min(self.view_noise_sigma) < 0:
             raise ValueError("noise levels must be nonnegative")
         if not (0.0 <= self.cluster_coherence < 1.0):
@@ -90,9 +94,6 @@ class GroundTruth:
     clusters: list[np.ndarray]
     cluster_ids: np.ndarray               # cluster id per support vertex
     latents: dict[str, np.ndarray]        # subject_id -> H (m, k_true)
-    loading_task: np.ndarray              # (k_true, d_task)
-    loading_rest: np.ndarray
-    signal_variance: float                # population variance of tr(betaᵀH)
     score_mean: float                     # raw-score stats used for z-scoring
     score_std: float
 
@@ -273,9 +274,6 @@ def generate(config: GeneratorConfig):
         clusters=clusters,
         cluster_ids=cluster_ids,
         latents=latents,
-        loading_task=loading_task,
-        loading_rest=loading_rest,
-        signal_variance=1.0,
         score_mean=score_mean,
         score_std=score_std,
     )

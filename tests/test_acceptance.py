@@ -181,8 +181,8 @@ def test_criterion_6_planted_support_recovery():
             subjects, mesh, truth = synth.generate(synth.GeneratorConfig(seed=seed))
             laplacian = build_laplacian(mesh)
             plan = ev.make_folds(len(subjects), 10, seed)
-            result = ev.run_cv(subjects, laplacian, PcaSpec(enc=4), reg, fista,
-                               plan, seed=seed, standardize_latents=False)
+            [result] = ev.run_cv(subjects, laplacian, PcaSpec(enc=4), [(reg, fista)],
+                                 plan, seed=seed, standardize_latents=False)
             mean_norms = np.mean([row_norms(b) for b in result.betas], axis=0)
             estimated = set(np.nonzero(mean_norms >= 0.1 * mean_norms.max())[0].tolist())
             f1 = support_f1(estimated, set(truth.support.tolist()))
@@ -224,7 +224,8 @@ def test_criterion_7_multi_view_gain():
             mse = {}
             for label, spec in (("mdae", mdae_spec), ("concat", concat_spec),
                                 ("raw", RawSpec())):
-                result = ev.run_cv(subjects, laplacian, spec, reg, fista, plan, seed=seed)
+                [result] = ev.run_cv(subjects, laplacian, spec, [(reg, fista)], plan,
+                                     seed=seed)
                 mse[label] = result.mean_mse
             assert mse["mdae"] <= mse["concat"] <= mse["raw"], f"seed {seed}: {mse}"
 
@@ -241,7 +242,7 @@ def test_criterion_8_linear_ae_matches_pca():
         model = train_autoencoder((data[:, :d_task], data[:, d_task:]), config,
                                 seed=7, epochs=600, batch_size=500, learning_rate=3e-3)
         ae_mse = model.reconstruction_mse(data[:, :d_task], data[:, d_task:])
-        standardized = model.scaler.transform(data)
+        standardized = model.scalers[0].transform(data)  # one block over both views
         pca_mse = reconstruction_mse(fit_pca(standardized, k), standardized)
         assert ae_mse <= 1.05 * pca_mse, f"AE {ae_mse:.6f} vs PCA {pca_mse:.6f}"
 
@@ -295,10 +296,10 @@ def test_criterion_11_significance_map_sanity(tmp_path):
         subjects, mesh, truth = synth.generate(synth.GeneratorConfig(seed=0))
         laplacian = build_laplacian(mesh)
         plan = ev.make_folds(len(subjects), 10, 0)
-        result = ev.run_cv(
+        [result] = ev.run_cv(
             subjects, laplacian, OracleSpec(latents=truth.latents),
-            RegularizationConfig(alpha=24.0, eta=60.0),
-            FistaConfig(max_iters=3000, rel_tolerance=1e-9), plan, seed=0,
+            [(RegularizationConfig(alpha=24.0, eta=60.0),
+              FistaConfig(max_iters=3000, rel_tolerance=1e-9))], plan, seed=0,
         )
         # store the fold maps, then recompute the map from disk
         for fold in result.folds:

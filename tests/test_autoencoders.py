@@ -124,7 +124,7 @@ class TestConcatTraining:
         cfg = ArchitectureConfig(kind="concat-ae", enc=5, hidden_dims=())
         model = train_autoencoder((x_t, x_r), cfg, seed=2, epochs=1500,
                                   batch_size=500, learning_rate=3e-3)
-        standardized = model.scaler.transform(data)
+        standardized = model.scalers[0].transform(data)  # one block over both views
         pca_mse = reconstruction_mse(fit_pca(standardized, 5), standardized)
         assert model.reconstruction_mse(x_t, x_r) <= 1.05 * pca_mse
 
@@ -159,10 +159,10 @@ class TestMdaeTraining:
         cfg = ArchitectureConfig(kind="mdae", enc=10, enc_split=(8, 2), hidden_dims=())
         model = train_autoencoder((x_t, x_r), cfg, seed=1, epochs=5, batch_size=100,
                                   learning_rate=1e-3)
-        z = model.encode_pair(x_t[0], x_r[0])
-        assert z.shape == (10,)
-        z_task = model.encoders[0].forward(FeatureScaler.fit(x_t).transform(x_t[:1]))[0]
-        assert np.array_equal(z[:8], z_task)
+        z = model.encode_pair(x_t[:1], x_r[:1])
+        assert z.shape == (1, 10)
+        z_task = model.encoders[0].forward(FeatureScaler.fit(x_t).transform(x_t[:1]))
+        assert np.array_equal(z[:, :8], z_task)
 
     def test_equal_views_converge_to_equal_losses(self):
         rng = np.random.default_rng(0)
@@ -228,11 +228,11 @@ def models():
 class TestEncoding:
     @pytest.mark.parametrize("kind", ["monomodal-task", "monomodal-rest", "concat-ae", "mdae"])
     def test_latent_dimension_contract(self, models, kind):
-        z = models[kind].encode_pair(np.zeros(6), np.zeros(4))
-        assert z.shape == (4,)
+        z = models[kind].encode_pair(np.zeros((1, 6)), np.zeros((1, 4)))
+        assert z.shape == (1, 4)
 
     def test_encode_deterministic(self, models):
-        x_t, x_r = np.ones(6), np.ones(4)
+        x_t, x_r = np.ones((1, 6)), np.ones((1, 4))
         a = models["mdae"].encode_pair(x_t, x_r)
         b = models["mdae"].encode_pair(x_t, x_r)
         assert np.array_equal(a, b)
@@ -240,10 +240,11 @@ class TestEncoding:
     def test_encode_subject_rows_match_pointwise(self, models):
         subject = make_subject("s1", 20, seed=11)
         latent = models["concat-ae"].encode_subject(subject)
-        assert latent.z.shape == (20, 4)
+        assert latent.shape == (20, 4)
         for j in (0, 5, 9, 13, 19):
-            row = models["concat-ae"].encode_pair(subject.x_task[j], subject.x_rest[j])
-            assert np.allclose(latent.z[j], row, atol=1e-12)
+            row = models["concat-ae"].encode_pair(subject.x_task[j:j + 1],
+                                                  subject.x_rest[j:j + 1])
+            assert np.allclose(latent[j:j + 1], row, atol=1e-12)
 
     def test_vertex_permutation_equivariance(self, models):
         subject = make_subject("s2", 15, seed=12)
@@ -251,13 +252,13 @@ class TestEncoding:
         permuted = SubjectRecord(
             "s2", subject.x_task[perm], subject.x_rest[perm], subject.score
         )
-        a = models["mdae"].encode_subject(subject).z
-        b = models["mdae"].encode_subject(permuted).z
+        a = models["mdae"].encode_subject(subject)
+        b = models["mdae"].encode_subject(permuted)
         assert np.array_equal(a[perm], b)
 
     def test_tiny_mesh_shape(self, models):
         subject = make_subject("s3", 3, seed=13)
-        assert models["mdae"].encode_subject(subject).z.shape == (3, 4)
+        assert models["mdae"].encode_subject(subject).shape == (3, 4)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_model_keeps_config_and_view(self, kind):
@@ -377,16 +378,16 @@ class TestRepresentationSpecs:
             epochs=2, batch_size=16, learning_rate=1e-3,
         )
         model = spec.fit(subjects, seed=0)
-        assert model.encode_subject(subjects[0]).z.shape == (8, 2)
+        assert model.encode_subject(subjects[0]).shape == (8, 2)
 
     def test_pca_spec(self):
         subjects = [make_subject(f"s{i}", 12, seed=30 + i) for i in range(3)]
         model = PcaSpec(enc=4).fit(subjects, seed=0)
-        assert model.encode_subject(subjects[1]).z.shape == (12, 4)
+        assert model.encode_subject(subjects[1]).shape == (12, 4)
 
     def test_raw_spec_keeps_every_column(self):
         subjects = [make_subject(f"s{i}", 10, seed=i) for i in range(4)]
-        z = RawSpec().fit(subjects, seed=0).encode_subject(subjects[0]).z
+        z = RawSpec().fit(subjects, seed=0).encode_subject(subjects[0])
         assert z.shape == (10, 10)
         assert np.array_equal(z, np.concatenate([subjects[0].x_task, subjects[0].x_rest], axis=1))
 
@@ -394,6 +395,6 @@ class TestRepresentationSpecs:
         subjects = [make_subject("s0", 6, seed=50)]
         latents = {"s0": np.ones((6, 2))}
         model = OracleSpec(latents=latents).fit(subjects, seed=0)
-        assert np.array_equal(model.encode_subject(subjects[0]).z, np.ones((6, 2)))
+        assert np.array_equal(model.encode_subject(subjects[0]), np.ones((6, 2)))
         with pytest.raises(KeyError):
             model.encode_subject(make_subject("s9", 6, seed=51))

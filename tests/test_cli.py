@@ -150,6 +150,23 @@ class TestGenerate:
         assert written == tree_bytes(tmp_path / "direct")
         assert len(written) == 2 * 40 + 4  # two views per subject, mesh, scores, truth
 
+    @pytest.mark.parametrize("field,value,shown", [
+        ("noise_sigma", float("nan"), "nan"),
+        ("view_noise_sigma", float("inf"), "(inf, inf)"),
+        ("loading_weights", [1.0, float("nan")], "(1.0, nan)"),
+        ("smoothing", float("-inf"), "-inf"),
+        ("rest_nuisance_scale", float("nan"), "nan"),
+    ])
+    def test_non_finite_field_is_config_error(self, tmp_path, capsys, field, value, shown):
+        out = tmp_path / "ds"
+        cfg = write_config(tmp_path, "gen.json",
+                           {**SMALL_GENERATE, field: value, "out": str(out)})
+        assert main(["generate", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError",
+                       "message": f"invalid generate config: {field} must be finite, got {shown}"}
+        assert not out.exists()
+
     def test_manifest_records_resolved_config(self, dataset_dir, tmp_path):
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
         resolved = asdict(synth.GeneratorConfig(**SMALL_GENERATE))
@@ -445,6 +462,20 @@ class TestRun:
          "enc_split must be a list of integers, got [2.9, 2]"),
         ({"arch": "mdae", "hidden_dims": [True]},
          "hidden_dims must be a list of integers, got [True]"),
+        ({"fista": [400]}, "fista must be an object"),
+        ({"fista": {"max_iters": 100.5}}, "fista.max_iters must be an integer, got 100.5"),
+        ({"fista": {"max_iters": 1e3}}, "fista.max_iters must be an integer, got 1000.0"),
+        ({"fista": {"max_iters": True}}, "fista.max_iters must be an integer, got True"),
+        ({"fista": {"rel_tolerance": True}}, "fista.rel_tolerance must be a number, got True"),
+        ({"fista": {"rel_tolerance": "1e-8"}},
+         "fista.rel_tolerance must be a number, got '1e-8'"),
+        # json.load reads NaN and Infinity; they must not reach a fold
+        ({"alpha": float("nan")}, "alpha must be finite, got nan"),
+        ({"alpha": float("-inf")}, "alpha must be finite, got -inf"),
+        ({"eta": float("inf")}, "eta must be finite, got inf"),
+        ({"arch": "mdae", "learning_rate": float("nan")}, "learning_rate must be finite, got nan"),
+        ({"fista": {"rel_tolerance": float("inf")}},
+         "fista.rel_tolerance must be finite, got inf"),
     ])
     def test_numeric_field_of_wrong_type_rejected(self, dataset_dir, tmp_path, capsys,
                                                   folds_run, override, message):
@@ -581,6 +612,9 @@ class TestSweep:
         ({"alpha": "2"}, "alpha must be a number, got '2'"),
         ({"squared_rows": 1}, "squared_rows must be true or false, got 1"),
         ({"enc_split": [2, 1.0]}, "enc_split must be a list of integers, got [2, 1.0]"),
+        ({"fista": {"max_iters": 100.5}}, "fista.max_iters must be an integer, got 100.5"),
+        ({"fista": {"rel_tolerance": True}}, "fista.rel_tolerance must be a number, got True"),
+        ({"eta": float("nan")}, "eta must be finite, got nan"),
     ])
     def test_typed_field_in_point_rejected(self, dataset_dir, tmp_path, capsys, folds_run,
                                            override, message):

@@ -3,7 +3,6 @@ import pytest
 
 from mvtrace import io
 from mvtrace.data import (
-    LatentSubject,
     SubjectRecord,
     load_dataset,
     save_dataset,
@@ -29,11 +28,6 @@ def make_subjects(n, m, d_task, d_rest, seed=0):
 def test_vertex_count_mismatch_rejected():
     with pytest.raises(ValueError, match="vertex count"):
         SubjectRecord("a", np.zeros((5, 3)), np.zeros((4, 2)), 0.0)
-
-
-def test_latent_subject_must_be_2d():
-    with pytest.raises(ValueError):
-        LatentSubject("a", np.zeros(5))
 
 
 def test_stack_views_shapes():

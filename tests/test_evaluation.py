@@ -102,10 +102,10 @@ class TestRunCv:
         ))
         lap = build_laplacian(mesh)
         plan = ev.make_folds(40, 10, seed=1)
-        res = ev.run_cv(
+        [res] = ev.run_cv(
             subjects, lap, OracleSpec(latents=gt.latents),
-            RegularizationConfig(alpha=1.0, eta=5.0),
-            FistaConfig(max_iters=3000, rel_tolerance=1e-9), plan, seed=1,
+            [(RegularizationConfig(alpha=1.0, eta=5.0),
+              FistaConfig(max_iters=3000, rel_tolerance=1e-9))], plan, seed=1,
         )
         assert res.mean_r2 > 0.95
 
@@ -119,15 +119,15 @@ class TestRunCv:
                 SubjectRecord(s.subject_id, s.x_task, s.x_rest, y[perm[i]])
                 for i, s in enumerate(subjects)
             ]
-            res = ev.run_cv(shuffled, lap, PcaSpec(enc=4), reg, FISTA,
-                            ev.make_folds(40, 10, seed), seed=seed)
+            [res] = ev.run_cv(shuffled, lap, PcaSpec(enc=4), [(reg, FISTA)],
+                              ev.make_folds(40, 10, seed), seed=seed)
             assert res.mean_r2 <= 0.1
 
     def test_averages_are_fold_means(self, planted):
         subjects, lap, _ = planted
         plan = ev.make_folds(40, 10, seed=3)
-        res = ev.run_cv(subjects, lap, PcaSpec(enc=4),
-                        RegularizationConfig(alpha=12, eta=20), FISTA, plan, seed=3)
+        [res] = ev.run_cv(subjects, lap, PcaSpec(enc=4),
+                          [(RegularizationConfig(alpha=12, eta=20), FISTA)], plan, seed=3)
         assert res.mean_mse == pytest.approx(np.mean([f.mse for f in res.folds]), abs=0)
         assert res.mean_r2 == pytest.approx(np.mean([f.r2 for f in res.folds]), abs=0)
         k = len(res.folds)
@@ -139,8 +139,8 @@ class TestRunCv:
     def test_pooled_r2_over_every_prediction(self, planted):
         subjects, lap, _ = planted
         plan = ev.make_folds(40, 10, seed=3)
-        res = ev.run_cv(subjects, lap, PcaSpec(enc=4),
-                        RegularizationConfig(alpha=12, eta=20), FISTA, plan, seed=3)
+        [res] = ev.run_cv(subjects, lap, PcaSpec(enc=4),
+                          [(RegularizationConfig(alpha=12, eta=20), FISTA)], plan, seed=3)
         rows = [p for f in res.folds for p in f.predictions]
         y = np.array([r[1] for r in rows])
         pred = np.array([r[2] for r in rows])
@@ -150,8 +150,8 @@ class TestRunCv:
     def test_undefined_r2_left_out_of_means(self, planted):
         subjects, lap, _ = planted
         plan = ev.make_folds(12, 12, seed=2)
-        res = ev.run_cv(subjects[:12], lap, PcaSpec(enc=4),
-                        RegularizationConfig(alpha=12, eta=20), FISTA, plan, seed=2)
+        [res] = ev.run_cv(subjects[:12], lap, PcaSpec(enc=4),
+                          [(RegularizationConfig(alpha=12, eta=20), FISTA)], plan, seed=2)
         assert all(f.r2 is None for f in res.folds)
         assert res.mean_r2 is None and res.stderr_r2 is None
         assert res.pooled_r2 is not None  # twelve predictions pooled
@@ -165,8 +165,8 @@ class TestRunCv:
         subjects, lap, _ = planted
         plan = ev.make_folds(40, 5, seed=4)
         reg = RegularizationConfig(alpha=12, eta=20)
-        seq = ev.run_cv(subjects, lap, PcaSpec(enc=4), reg, FISTA, plan, seed=4, jobs=1)
-        par = ev.run_cv(subjects, lap, PcaSpec(enc=4), reg, FISTA, plan, seed=4, jobs=2)
+        [seq] = ev.run_cv(subjects, lap, PcaSpec(enc=4), [(reg, FISTA)], plan, seed=4, jobs=1)
+        [par] = ev.run_cv(subjects, lap, PcaSpec(enc=4), [(reg, FISTA)], plan, seed=4, jobs=2)
         assert all(
             np.array_equal(a.beta, b.beta) and a.mse == b.mse
             for a, b in zip(seq.folds, par.folds)
@@ -212,9 +212,11 @@ class TestRunCv:
         assert model_a.config == model_b.config
         assert model_a.view == model_b.view
         assert model_a.epoch_losses == model_b.epoch_losses
-        for f in fields(FeatureScaler):
-            a, b = getattr(model_a.scaler, f.name), getattr(model_b.scaler, f.name)
-            assert (a is None and b is None) or np.array_equal(a, b), f.name
+        assert len(model_a.scalers) == len(model_b.scalers)
+        for scaler_a, scaler_b in zip(model_a.scalers, model_b.scalers):
+            for f in fields(FeatureScaler):
+                a, b = getattr(scaler_a, f.name), getattr(scaler_b, f.name)
+                assert (a is None and b is None) or np.array_equal(a, b), f.name
         nets_a = model_a.encoders + model_a.decoders
         nets_b = model_b.encoders + model_b.decoders
         assert len(nets_a) == len(nets_b)
@@ -326,13 +328,13 @@ class TestWarmPath:
         results = self.fold(subjects, lap, self.PENALTIES)
         train = [subjects[i] for i in plan.train_indices(1)]
         model = PcaSpec(enc=4).fit(train, 5)
-        stack = np.stack([model.encode_subject(s).z for s in train])
+        stack = np.stack([model.encode_subject(s) for s in train])
         center, scale = stack.mean(axis=(0, 1)), stack.std(axis=(0, 1))
         for result in results:
             assert 0 < np.count_nonzero(result.beta.any(axis=1)) < len(result.beta)
             for subject_id, score, prediction in result.predictions:
                 subject = next(s for s in subjects if s.subject_id == subject_id)
-                z = (model.encode_subject(subject).z - center) / scale
+                z = (model.encode_subject(subject) - center) / scale
                 assert score == subject.score
                 assert prediction == pytest.approx(predict(result.beta, z), rel=1e-12,
                                                    abs=1e-12)
@@ -349,12 +351,17 @@ class TestSweepAndCsv:
     """run_cv with a penalty list, as each group of sweep points runs it."""
 
     def test_single_point_reduces_to_run_cv(self, planted):
+        # one penalty pair: each fold is the run_fold call of its split and
+        # SeedSequence-derived fit seed
         subjects, lap, _ = planted
         plan = ev.make_folds(40, 5, seed=6)
         reg = RegularizationConfig(alpha=12, eta=20)
-        [listed] = ev.run_cv(subjects, lap, PcaSpec(enc=4), plan=plan, seed=6,
-                             penalties=[(reg, FISTA)])
-        direct = ev.run_cv(subjects, lap, PcaSpec(enc=4), reg, FISTA, plan, seed=6)
+        [listed] = ev.run_cv(subjects, lap, PcaSpec(enc=4), [(reg, FISTA)], plan, seed=6)
+        fold_seeds = np.random.SeedSequence(6).generate_state(plan.n_folds)
+        direct = ev.CvResult.from_folds([
+            ev.run_fold(subjects, lap, PcaSpec(enc=4), [(reg, FISTA)], plan.train_indices(f),
+                        plan.test_indices(f), f, int(fold_seeds[f]))[0]
+            for f in range(plan.n_folds)])
         assert listed.mean_mse == direct.mean_mse
 
     def test_enc_grid_rows(self, planted, tmp_path):
@@ -362,7 +369,8 @@ class TestSweepAndCsv:
         plan = ev.make_folds(40, 5, seed=7)
         reg = RegularizationConfig(alpha=12, eta=20)
         points = [ev.SweepPoint(label=f"pca-{e}", spec=PcaSpec(enc=e)) for e in (2, 5, 10)]
-        entries = [(point, ev.run_cv(subjects, lap, point.spec, reg, FISTA, plan, seed=7))
+        entries = [(point, ev.run_cv(subjects, lap, point.spec, [(reg, FISTA)], plan,
+                                     seed=7)[0])
                    for point in points]
         folds_csv = tmp_path / "folds.csv"
         summary_csv = tmp_path / "summary.csv"
@@ -390,8 +398,8 @@ class TestSweepAndCsv:
                 label=f"mdae-{split[0]}-{split[1]}",
                 spec=AutoencoderSpec(config=cfg, epochs=2, batch_size=500, learning_rate=1e-3),
             )
-            entries.append((point, ev.run_cv(subjects, lap, point.spec, reg, FISTA, plan,
-                                             seed=8)))
+            entries.append((point, ev.run_cv(subjects, lap, point.spec, [(reg, FISTA)], plan,
+                                             seed=8)[0]))
         assert ev.point_dims(entries[0][0]) == (10, 8, 2)
         assert ev.point_dims(ev.SweepPoint("pca", PcaSpec(enc=4))) == (4, "", "")
         ev.write_summary_csv(tmp_path / "summary.csv", entries)
@@ -418,13 +426,12 @@ class TestSweepAndCsv:
             (RegularizationConfig(alpha=4, eta=10), FistaConfig(max_iters=50)),
             (RegularizationConfig(alpha=8, eta=5), FISTA),
         ]
-        listed = ev.run_cv(subjects, lap, PcaSpec(enc=4), plan=plan, seed=9,
-                           penalties=penalties)
+        listed = ev.run_cv(subjects, lap, PcaSpec(enc=4), penalties, plan, seed=9)
         assert fits == [4, 4, 4, 4]
         assert len(listed) == 3
         swept_solves = list(solves)
         for i, (pair, swept) in enumerate(zip(penalties, listed)):
-            direct = ev.run_cv(subjects, lap, PcaSpec(enc=4), *pair, plan, seed=9)
+            [direct] = ev.run_cv(subjects, lap, PcaSpec(enc=4), [pair], plan, seed=9)
             for a, b in zip(swept.folds, direct.folds):
                 if i == 0:
                     # the strongest alpha: solved cold, as a single run
@@ -443,7 +450,7 @@ class TestSweepAndCsv:
         fits = []
         monkeypatch.setattr(PcaSpec, "fit", lambda *a: fits.append(a))
         with pytest.raises(ValueError, match="empty penalty list"):
-            ev.run_cv(subjects, lap, PcaSpec(enc=4), plan=plan, penalties=[])
+            ev.run_cv(subjects, lap, PcaSpec(enc=4), [], plan)
         with pytest.raises(ValueError, match="empty penalty list"):
             ev.run_fold(subjects, lap, PcaSpec(enc=4), [], plan.train_indices(0),
                         plan.test_indices(0), fold_id=0, fit_seed=0)

@@ -63,11 +63,11 @@ class TestForward:
 
     def test_relu_definition(self):
         mlp = nn.MLP([nn.DenseLayer(np.eye(2), np.zeros(2), "relu")])
-        assert mlp.forward(np.array([-1.0, 2.0])).tolist() == [[0.0, 2.0]]
+        assert mlp.forward(np.array([[-1.0, 2.0]])).tolist() == [[0.0, 2.0]]
 
     def test_sigmoid_at_zero(self):
         mlp = nn.MLP([nn.DenseLayer(np.eye(1), np.zeros(1), "sigmoid")])
-        assert mlp.forward(np.array([0.0]))[0, 0] == 0.5
+        assert mlp.forward(np.array([[0.0]]))[0, 0] == 0.5
 
     def test_shape_mismatch(self):
         mlp = nn.MLP([nn.DenseLayer(np.eye(3), np.zeros(3), "linear")])
@@ -130,54 +130,54 @@ class TestBackward:
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+        params = np.array([1.0, -2.0, 3.0])
         state = nn.AdamState.for_parameters(params)
-        nn.adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
-        assert params[0].tolist() == [1.0, -2.0]
-        assert params[1][0, 0] == 3.0
+        nn.adam_step(state, params, np.zeros(3))
+        assert params.tolist() == [1.0, -2.0, 3.0]
         assert state.timestep == 1
 
     @pytest.mark.parametrize("g", [3.7, -0.02, 1e4])
     def test_first_step_magnitude_is_learning_rate(self, g):
         # bias-corrected first step: |delta| = lr * |g| / (|g| + eps) ~ lr
-        params = [np.array([0.5])]
+        params = np.array([0.5])
         state = nn.AdamState.for_parameters(params, learning_rate=1e-3)
-        nn.adam_step(state, params, [np.array([g])])
-        assert abs(abs(params[0][0] - 0.5) - 1e-3) < 1e-6
+        nn.adam_step(state, params, np.array([g]))
+        assert abs(abs(params[0] - 0.5) - 1e-3) < 1e-6
 
     def test_descends_quadratic(self):
         # f(w) = w^2 from w=1: |w| decreases monotonically for the first 50 steps
-        params = [np.array([1.0])]
+        params = np.array([1.0])
         state = nn.AdamState.for_parameters(params, learning_rate=1e-2)
         values = [1.0]
         for _ in range(50):
-            nn.adam_step(state, params, [2.0 * params[0]])
-            values.append(abs(params[0][0]))
+            nn.adam_step(state, params, 2.0 * params)
+            values.append(abs(params[0]))
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_flat_buffer_matches_separate_arrays(self):
-        # Adam is elementwise, so one flat buffer updates every element with
-        # the same bits as the same parameters held as separate arrays
+        # Adam is elementwise, so one call on a flat buffer updates every
+        # element with the same bits as one call on each separate array
         rng = np.random.default_rng(4)
         shapes = [(5, 3), (3,), (3, 2), (2,)]
         separate = [rng.standard_normal(shape) for shape in shapes]
         flat = np.concatenate([p.ravel() for p in separate])
-        sep_state = nn.AdamState.for_parameters(separate, learning_rate=1e-2)
-        flat_state = nn.AdamState.for_parameters([flat], learning_rate=1e-2)
+        sep_states = [nn.AdamState.for_parameters(p, learning_rate=1e-2) for p in separate]
+        flat_state = nn.AdamState.for_parameters(flat, learning_rate=1e-2)
         for _ in range(5):
             grads = [rng.standard_normal(shape) for shape in shapes]
-            nn.adam_step(sep_state, separate, grads)
-            nn.adam_step(flat_state, [flat], [np.concatenate([g.ravel() for g in grads])])
+            for state, p, g in zip(sep_states, separate, grads):
+                nn.adam_step(state, p, g)
+            nn.adam_step(flat_state, flat, np.concatenate([g.ravel() for g in grads]))
             assert np.array_equal(flat, np.concatenate([p.ravel() for p in separate]))
         for name in ("moment1", "moment2"):
-            joined = np.concatenate([m.ravel() for m in getattr(sep_state, name)])
-            assert np.array_equal(getattr(flat_state, name)[0], joined)
+            joined = np.concatenate([getattr(state, name).ravel() for state in sep_states])
+            assert np.array_equal(getattr(flat_state, name), joined)
 
     def test_shape_mismatch(self):
-        params = [np.zeros(3)]
+        params = np.zeros(3)
         state = nn.AdamState.for_parameters(params)
         with pytest.raises(ValueError):
-            nn.adam_step(state, params, [np.zeros(4)])
+            nn.adam_step(state, params, np.zeros(4))
 
 
 class TestSharedBuffers:

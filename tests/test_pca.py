@@ -74,28 +74,28 @@ class TestEncodeDecode:
         return fit_pca(data, 3)
 
     def test_mean_maps_to_zero(self, model):
-        assert np.abs(pca_encode(model, model.mean)).max() < 1e-12
+        assert np.abs(pca_encode(model, model.mean[None, :])).max() < 1e-12
 
     def test_component_direction_maps_to_unit_axis(self, model):
-        z = pca_encode(model, model.mean + model.components[0])
-        assert np.abs(z - np.array([1.0, 0.0, 0.0])).max() < 1e-10
+        z = pca_encode(model, model.mean + model.components[:1])
+        assert np.abs(z - np.array([[1.0, 0.0, 0.0]])).max() < 1e-10
 
     def test_in_subspace_roundtrip_lossless(self, model):
         rng = np.random.default_rng(7)
-        x = model.mean + rng.standard_normal(3) @ model.components
+        x = model.mean + rng.standard_normal((1, 3)) @ model.components
         recon = pca_decode(model, pca_encode(model, x))
         assert np.abs(recon - x).max() < 1e-10
 
     def test_dimension_mismatch(self, model):
         with pytest.raises(ValueError):
-            pca_encode(model, np.zeros(5))
+            pca_encode(model, np.zeros((1, 5)))
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=-3, max_value=3, allow_nan=False))
     def test_encode_is_affine(self, a):
         data = np.random.default_rng(8).standard_normal((100, 5))
         model = fit_pca(data, 2)
-        x, y = data[0], data[1]
+        x, y = data[:1], data[1:2]
         lhs = pca_encode(model, a * x + (1 - a) * y)
         rhs = a * pca_encode(model, x) + (1 - a) * pca_encode(model, y)
         assert np.abs(lhs - rhs).max() < 1e-9
@@ -110,7 +110,7 @@ def test_pca_lower_bounds_linear_autoencoder():
     model = train_autoencoder((data[:, :4], data[:, 4:]), cfg, seed=1, epochs=600,
                               batch_size=500, learning_rate=3e-3)
     # both in the autoencoder's standardized target space
-    standardized = model.scaler.transform(data)
+    standardized = model.scalers[0].transform(data)  # one block over both views
     pca_mse = reconstruction_mse(fit_pca(standardized, k), standardized)
     ae_mse = model.reconstruction_mse(data[:, :4], data[:, 4:])
     assert ae_mse >= pca_mse - 1e-9
