@@ -385,6 +385,14 @@ class AutoencoderSpec:
     batch_size: int = 500
     learning_rate: float = 1e-3
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
+
     def fit(self, subjects: list[SubjectRecord], seed: int) -> Autoencoder:
         return train_autoencoder(
             stack_views(subjects), self.config, seed,

@@ -98,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", help="recompute significance map from fold betas")
     p_map.add_argument("--results", required=True)
     p_map.add_argument("--t-crit", type=float, default=evaluation.T_CRIT)
-    p_map.add_argument("--reduction", choices=evaluation.REDUCTIONS, default="signed-norm")
     p_map.set_defaults(handler=cmd_map)
 
     p_inspect = sub.add_parser("inspect", help="print MVRL matrix file headers")
@@ -195,7 +194,6 @@ RUN_DEFAULTS = {
     "learning_rate": 1e-3,
     "alpha": 5e-4,
     "eta": 1e-3,
-    "squared_rows": False,
     "fista": {},
     "cv": {},
     "jobs": 1,
@@ -225,21 +223,19 @@ def _build_spec(cfg: dict):
             hidden_activation=cfg["hidden_activation"],
             output_activation=cfg["output_activation"],
         )
+        return AutoencoderSpec(
+            config=config,
+            epochs=cfg["epochs"],
+            batch_size=cfg["batch_size"],
+            learning_rate=float(cfg["learning_rate"]),
+        )
     except ValueError as exc:
-        raise ConfigError(f"invalid architecture config: {exc}") from exc
-    return AutoencoderSpec(
-        config=config,
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        learning_rate=float(cfg["learning_rate"]),
-    )
+        raise ConfigError(f"invalid autoencoder config: {exc}") from exc
 
 
 def _build_reg_fista(cfg: dict):
     try:
-        reg = RegularizationConfig(
-            alpha=cfg["alpha"], eta=cfg["eta"], squared_rows=cfg["squared_rows"],
-        )
+        reg = RegularizationConfig(alpha=cfg["alpha"], eta=cfg["eta"])
         fista = FistaConfig(**cfg["fista"])
     except ValueError as exc:  # _check_numbers has checked every type
         raise ConfigError(f"invalid regularization/fista config: {exc}") from exc
@@ -253,16 +249,16 @@ POINT_FIELDS = (RUN_FIELDS - {"out", "grid"}) | {"label"}
 CV_FIELDS = {"folds", "seed"}
 FISTA_FIELDS = {f.name for f in fields(FistaConfig)}
 # a grid point that changes only these shares each fold's representation fit
-PENALTY_FIELDS = {"alpha", "eta", "squared_rows", "fista", "label"}
+PENALTY_FIELDS = {"alpha", "eta", "fista", "label"}
 
 
 def _check_numbers(cfg: dict) -> None:
     """A ConfigError naming the first typed field of the wrong type.
     ``cv`` and ``fista`` must be objects of their own fields.  Integer
     fields and the entries of ``hidden_dims`` and ``enc_split`` must be an
-    int, ``learning_rate``, ``alpha``, ``eta`` and ``fista.rel_tolerance`` a
-    finite int or float, never a bool, and ``squared_rows`` a bool; nothing
-    is cast, so nothing is truncated or read as true."""
+    int, and ``learning_rate``, ``alpha``, ``eta`` and ``fista.rel_tolerance``
+    a finite int or float, never a bool; nothing is cast, so nothing is
+    truncated or read as true.  The config objects check the ranges."""
     def is_int(value):
         return isinstance(value, int) and not isinstance(value, bool)
 
@@ -289,8 +285,6 @@ def _check_numbers(cfg: dict) -> None:
             raise ConfigError(f"{name} must be a number, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
-    if not isinstance(cfg["squared_rows"], bool):
-        raise ConfigError(f"squared_rows must be true or false, got {cfg['squared_rows']!r}")
     jobs = cfg["jobs"]
     if not is_int(jobs) or jobs < 1:
         raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
@@ -444,13 +438,14 @@ def _grid_label(overrides: dict, index: int) -> str:
 
 def cmd_map(args) -> int:
     results = Path(args.results)
-    beta_files = sorted(results.glob("beta_fold*.mvrl"))
+    beta_files = sorted(results.glob("beta_fold*.mvrl"),  # fold order: 2 before 10
+                        key=lambda p: int(p.stem.removeprefix("beta_fold")))
     if len(beta_files) < 2:
         raise FileNotFoundError(
             f"{results}: need at least 2 beta_fold*.mvrl files, found {len(beta_files)}"
         )
     betas = [io.read_matrix(p) for p in beta_files]
-    sig = _write_significance(results, betas, t_crit=args.t_crit, reduction=args.reduction)
+    sig = _write_significance(results, betas, t_crit=args.t_crit)
     print(
         f"significance map over {len(betas)} folds: "
         f"{int(sig.mask.sum())} vertices with t > {args.t_crit}"

@@ -23,7 +23,6 @@ from .trace_regression import (
     predict_many,
 )
 
-REDUCTIONS = ("signed-norm", "mean", "max-abs")
 # the significance threshold of a run's map and the default of ``mvtrace map``
 T_CRIT = 2.45
 
@@ -142,8 +141,8 @@ def run_fold(
     standardize_latents: bool = True,
 ) -> list[FoldResult]:
     """Fit the representation on the training split once, then fit and score
-    the regression once per (reg, fista) pair of ``penalties``; the
-    FoldResults come back in pair order.
+    the regression (smoothed by the GraphLaplacian ``laplacian``) once per
+    (reg, fista) pair of ``penalties``; the FoldResults come in pair order.
 
     With ``standardize_latents`` (default) every latent column is z-scored
     using training-fold statistics before the regression.  Autoencoder codes
@@ -172,7 +171,7 @@ def run_fold(
     dataset = RegressionDataset(
         latents=train_latents,
         scores=scores_array(train_subjects),
-        laplacian=laplacian,
+        laplacian=laplacian.matrix,
     )
     fits = [None] * len(penalties)
     beta = None
@@ -261,32 +260,21 @@ def run_cv(
 
 @dataclass
 class SignificanceMap:
-    """Per-vertex one-sample t statistics over fold coefficient maps."""
+    """Per-vertex one-sample t statistics over fold maps, and t > t_crit."""
 
     t: np.ndarray
-    t_crit: float
     mask: np.ndarray
-    reduction: str
-    n_folds: int
 
 
-def significance_map(
-    betas: list[np.ndarray], t_crit: float = T_CRIT, reduction: str = "signed-norm"
-) -> SignificanceMap:
+def significance_map(betas: list[np.ndarray], t_crit: float = T_CRIT) -> SignificanceMap:
     """Cross-fold t-test of per-vertex weights.
 
-    Each fold's d-vector row is reduced to a scalar first:
-
-    * ``signed-norm`` (default): row norm signed by the mean entry,
-    * ``mean``: mean entry,
-    * ``max-abs``: the entry of largest magnitude (keeping its sign).
-
-    Then t_j = mean_f(s_j) / (sd_f(s_j)/sqrt(k)).  Vertices with zero
-    cross-fold variance get t = +inf when the mean is nonzero and t = 0
-    otherwise; the mask is ``t > t_crit``.
+    Each fold's d-vector row is reduced to its norm signed by its mean
+    entry, s_j; then t_j = mean_f(s_j) / (sd_f(s_j)/sqrt(k)) over the k
+    fold maps, in list order.  Vertices with zero cross-fold variance get
+    t = +inf when the mean is nonzero and t = 0 otherwise; the mask is
+    ``t > t_crit``.
     """
-    if reduction not in REDUCTIONS:
-        raise ValueError(f"reduction must be one of {REDUCTIONS}")
     if len(betas) < 2:
         raise ValueError("need at least 2 fold maps")
     shapes = {np.asarray(b).shape for b in betas}
@@ -294,13 +282,7 @@ def significance_map(
         raise ValueError(f"fold maps disagree on shape: {shapes}")
     stack = np.stack([np.asarray(b, dtype=np.float64) for b in betas])  # (k, m, d)
     k = stack.shape[0]
-    if reduction == "signed-norm":
-        scalars = np.linalg.norm(stack, axis=2) * np.sign(stack.mean(axis=2))
-    elif reduction == "mean":
-        scalars = stack.mean(axis=2)
-    else:
-        idx = np.argmax(np.abs(stack), axis=2)
-        scalars = np.take_along_axis(stack, idx[:, :, None], axis=2)[:, :, 0]
+    scalars = np.linalg.norm(stack, axis=2) * np.sign(stack.mean(axis=2))
     mean = scalars.mean(axis=0)
     sd = scalars.std(axis=0, ddof=1)
     t = np.zeros_like(mean)
@@ -308,9 +290,7 @@ def significance_map(
     t[nonzero_sd] = mean[nonzero_sd] / (sd[nonzero_sd] / np.sqrt(k))
     degenerate = ~nonzero_sd
     t[degenerate & (mean != 0)] = np.inf
-    return SignificanceMap(
-        t=t, t_crit=t_crit, mask=t > t_crit, reduction=reduction, n_folds=k
-    )
+    return SignificanceMap(t=t, mask=t > t_crit)
 
 
 @dataclass

@@ -11,21 +11,20 @@ where L is the mesh graph Laplacian and beta_j is the j-th vertex row.  The
 row-norm penalty is convex but non-differentiable and drives whole vertex
 rows to zero, so the problem is solved with a monotone variant of FISTA:
 proximal gradient steps with momentum, where a candidate iterate is accepted
-only if it does not increase the objective.  A squared-row-norm variant of
-the penalty (differentiable, non-sparsifying) is available for comparison
-via ``RegularizationConfig.squared_rows``.
+only if it does not increase the objective.
 
 Each solve's step is fixed at 1/L, where L = 2·λmax(XᵀX) + eta·(largest
 absolute row sum of L) bounds the gradient's Lipschitz constant from above
 on the rows it solves for: the data part is exact (``eigvalsh`` of the
-subject Gram matrix) and the Laplacian part is Gershgorin's bound.  An iteration makes one forward pass (predictions at the
-candidate, for its objective) and one adjoint pass (the gradient at the
-momentum point) over the stacked latents; the momentum point's predictions
-are combined from those already computed.
+subject Gram matrix) and the Laplacian part is Gershgorin's bound.  An
+iteration makes one forward pass (predictions at the candidate, for its
+objective) and one adjoint pass (the gradient at the momentum point) over the
+stacked latents; the momentum point's predictions are combined from those
+already computed.
 
-With the group penalty and alpha > 0, the solution keeps few vertex rows,
-so MFISTA runs on a working set W of rows (Celer: Massias, Gramfort & Salmon
-2018; Blitz: Johnson & Guestrin 2015).  The restriction is exact: rows
+With alpha > 0, the solution keeps few vertex rows, so MFISTA runs on a
+working set W of rows (Celer: Massias, Gramfort & Salmon 2018; Blitz:
+Johnson & Guestrin 2015).  The restriction is exact: rows
 outside W are zero, so the model and tr(betaᵀLbeta) = tr(beta_Wᵀ L_WW beta_W)
 only need latents[:, W, :] and L[W][:, W].  The optimality condition of a
 zero row j is ||g_j|| <= alpha for the smooth part's gradient g.  W starts
@@ -46,8 +45,7 @@ solved again to its plateau.  The fit ends when a solve reached its plateau
 and no row outside W breaks the condition.  When W would hold more than
 half the rows it becomes every row, and that solve is the plain loop with
 the full step and no gap checks.  ``FistaConfig.max_iters`` bounds all
-solves together.  The squared-row variant and alpha = 0 run the plain loop
-over all rows.
+solves together.  With alpha = 0 the plain loop runs over all rows.
 
 ``evaluation.run_fold`` solves a fold's penalties as a path, in order of
 decreasing alpha, each fit starting from the previous fit's beta through
@@ -65,8 +63,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-
-from .mesh import GraphLaplacian
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +87,6 @@ class RegularizationConfig:
 
     alpha: float = 5e-4
     eta: float = 1e-3
-    squared_rows: bool = False
 
     def __post_init__(self):
         if self.alpha < 0 or self.eta < 0:
@@ -114,7 +109,7 @@ class FistaConfig:
 class RegressionDataset:
     """n latent matrices (n, m, d), their scores (n,), and the Laplacian.
 
-    ``laplacian`` may be a GraphLaplacian, a scipy sparse matrix, or None
+    ``laplacian`` is an m x m scipy sparse matrix, kept as CSR, or None
     (treated as zero; only valid when eta = 0).
     """
 
@@ -129,12 +124,13 @@ class RegressionDataset:
             raise ValueError("latents must be (n, m, d)")
         if self.scores.shape != (self.latents.shape[0],):
             raise ValueError("scores length must match latent count")
-        mat = _laplacian_matrix(self.laplacian)
-        if mat is not None and mat.shape[0] != self.latents.shape[1]:
-            raise ValueError(
-                f"Laplacian dimension {mat.shape[0]} != vertex count "
-                f"{self.latents.shape[1]}"
-            )
+        if self.laplacian is not None:
+            if not sparse.issparse(self.laplacian):
+                raise TypeError("laplacian must be a scipy sparse matrix or None")
+            self.laplacian = self.laplacian.tocsr()
+            if self.laplacian.shape[0] != self.latents.shape[1]:
+                raise ValueError(f"Laplacian dimension {self.laplacian.shape[0]} != "
+                                 f"vertex count {self.latents.shape[1]}")
 
     @property
     def n_subjects(self) -> int:
@@ -143,16 +139,6 @@ class RegressionDataset:
     @property
     def shape(self) -> tuple[int, int]:
         return self.latents.shape[1], self.latents.shape[2]
-
-
-def _laplacian_matrix(laplacian):
-    if laplacian is None:
-        return None
-    if isinstance(laplacian, GraphLaplacian):
-        return laplacian.matrix
-    if sparse.issparse(laplacian):
-        return laplacian.tocsr()
-    raise TypeError("laplacian must be GraphLaplacian, sparse matrix, or None")
 
 
 def predict(beta: np.ndarray, z: np.ndarray) -> float:
@@ -184,21 +170,17 @@ def row_norms(beta: np.ndarray) -> np.ndarray:
 
 
 def penalty(beta: np.ndarray, reg: RegularizationConfig) -> float:
-    """The non-smooth part: alpha * sum_j ||beta_j|| (or its squared variant)."""
-    norms = row_norms(beta)
-    if reg.squared_rows:
-        return float(reg.alpha * np.sum(norms**2))
-    return float(reg.alpha * np.sum(norms))
+    """The non-smooth part: alpha * sum_j ||beta_j||."""
+    return float(reg.alpha * np.sum(row_norms(beta)))
 
 
 def _smooth_laplacian(dataset: RegressionDataset, eta: float):
     """The Laplacian matrix the smooth part uses: None when eta = 0."""
     if eta <= 0:
         return None
-    lap = _laplacian_matrix(dataset.laplacian)
-    if lap is None:
+    if dataset.laplacian is None:
         raise ValueError("eta > 0 requires a Laplacian on the dataset")
-    return lap
+    return dataset.laplacian
 
 
 def _smooth_value(beta, scores, x_beta, l_beta, eta: float) -> float:
@@ -273,19 +255,6 @@ def prox_group(beta: np.ndarray, threshold: float) -> np.ndarray:
     return beta * scale[:, None]
 
 
-def prox_squared_rows(beta: np.ndarray, threshold: float) -> np.ndarray:
-    """Proximal map of t * sum_j ||beta_j||²: uniform row shrinkage."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    return np.asarray(beta, dtype=np.float64) / (1.0 + 2.0 * threshold)
-
-
-def _prox(beta: np.ndarray, threshold: float, reg: RegularizationConfig) -> np.ndarray:
-    if reg.squared_rows:
-        return prox_squared_rows(beta, threshold)
-    return prox_group(beta, threshold)
-
-
 def lipschitz_constant(dataset: RegressionDataset, eta: float) -> float:
     """Upper bound on the Lipschitz constant of the smooth part's gradient.
 
@@ -299,7 +268,7 @@ def lipschitz_constant(dataset: RegressionDataset, eta: float) -> float:
     flat = dataset.latents.reshape(n, -1)
     lam_data = max(float(np.linalg.eigvalsh(flat @ flat.T)[-1]), 0.0)
     lam_lap = 0.0
-    lap = _laplacian_matrix(dataset.laplacian)
+    lap = dataset.laplacian
     if eta > 0 and lap is not None and lap.shape[0] > 0:
         lam_lap = float(abs(lap).sum(axis=1).max())
     return 2.0 * lam_data + eta * lam_lap
@@ -313,7 +282,7 @@ class FitResult:
     iterations: int
     step_size: float
     # duality gap at beta, an upper bound on objective(beta) - optimum; None
-    # for the squared-row penalty or alpha = 0
+    # for alpha = 0
     gap: float | None = None
 
 
@@ -340,15 +309,15 @@ def fit_mfista(
     combination that forms y, since X is linear.  The sparse products L·y
     and L·z are computed afresh.
 
-    With the group penalty and alpha > 0, MFISTA runs on a growing working
-    set W of vertex rows (module docstring).  Each solve restarts the
-    momentum; a solve on a strict subset takes its own, larger step and also
-    stops once its duality gap is at most WORKING_SET_GAP_RATIO times the
-    last full gap, and a W of more than half the rows becomes every row (the
-    plain loop).  ``iterations`` and ``objectives`` span every solve,
-    ``step_size`` is the last solve's step (0 when beta = 0 already meets
-    the optimality condition and no solve runs), and ``gap`` is the duality
-    gap of the last pass over all rows.
+    With alpha > 0, MFISTA runs on a growing working set W of vertex rows
+    (module docstring).  Each solve restarts the momentum; a solve on a
+    strict subset takes its own, larger step and also stops once its duality
+    gap is at most WORKING_SET_GAP_RATIO times the last full gap, and a W of
+    more than half the rows becomes every row (the plain loop).
+    ``iterations`` and ``objectives`` span every solve, ``step_size`` is the
+    last solve's step (0 when beta = 0 already meets the optimality
+    condition and no solve runs), and ``gap`` is the duality gap of the last
+    pass over all rows.
 
     A solve stops when the relative objective decrease over a 10-iteration
     window falls below ``rel_tolerance``.  ``max_iters`` bounds the
@@ -374,7 +343,7 @@ def fit_mfista(
     fx = _smooth_value(x, scores, px, laplacian_times(x), eta) + penalty(x, reg)
     if not np.isfinite(fx):
         raise DivergenceError(f"objective non-finite at the initial point: {fx}")
-    if alpha == 0 or reg.squared_rows:
+    if alpha == 0:
         fit = _solve(dataset, reg, x, fx, fista.max_iters, fista.rel_tolerance)
         if not fit.converged:
             _warn_max_iters(fista)
@@ -456,7 +425,7 @@ def _solve(dataset, reg, x, fx, max_iters, rel_tolerance, gap_stop=None) -> FitR
     gap = None
     for k in range(max_iters):
         grad = _smooth_gradient(latents, scores, py, laplacian_times(y), eta)
-        z = _prox(y - step * grad, step * alpha, reg)
+        z = prox_group(y - step * grad, step * alpha)
         pz = predict_many(z, latents)
         fz = value(z, pz)
         if not np.isfinite(fz):

@@ -88,7 +88,7 @@ def test_criterion_2_mfista_monotonicity():
             latents = rng.standard_normal((n, m, d))
             beta_star = rng.standard_normal((m, d))
             scores = predict_many(beta_star, latents) + 0.5 * rng.standard_normal(n)
-            ds = RegressionDataset(latents, scores, lap)
+            ds = RegressionDataset(latents, scores, lap.matrix)
             reg = RegularizationConfig(
                 alpha=float(rng.uniform(0, 5)), eta=float(rng.uniform(0, 5))
             )

@@ -453,7 +453,7 @@ class TestRun:
         ({"learning_rate": "fast"}, "learning_rate must be a number, got 'fast'"),
         ({"cv": {"folds": 2.5}}, "cv.folds must be an integer, got 2.5"),
         ({"seed": "x"}, "seed must be an integer, got 'x'"),
-        ({"squared_rows": "no"}, "squared_rows must be true or false, got 'no'"),
+        ({"squared_rows": False}, "unknown run config field(s): ['squared_rows']"),
         ({"alpha": "2"}, "alpha must be a number, got '2'"),
         ({"eta": True}, "eta must be a number, got True"),
         ({"arch": "mdae", "hidden_dims": [6.7]},
@@ -476,6 +476,16 @@ class TestRun:
         ({"arch": "mdae", "learning_rate": float("nan")}, "learning_rate must be finite, got nan"),
         ({"fista": {"rel_tolerance": float("inf")}},
          "fista.rel_tolerance must be finite, got inf"),
+        # an autoencoder's training fields out of range
+        ({"arch": "mdae", "epochs": 0}, "invalid autoencoder config: epochs must be >= 1, got 0"),
+        ({"arch": "mdae", "epochs": -3},
+         "invalid autoencoder config: epochs must be >= 1, got -3"),
+        ({"arch": "mdae", "batch_size": 0},
+         "invalid autoencoder config: batch_size must be >= 1, got 0"),
+        ({"arch": "mdae", "learning_rate": 0},
+         "invalid autoencoder config: learning_rate must be > 0, got 0.0"),
+        ({"arch": "mdae", "learning_rate": -1.0},
+         "invalid autoencoder config: learning_rate must be > 0, got -1.0"),
     ])
     def test_numeric_field_of_wrong_type_rejected(self, dataset_dir, tmp_path, capsys,
                                                   folds_run, override, message):
@@ -610,11 +620,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("override,message", [
         ({"alpha": "2"}, "alpha must be a number, got '2'"),
-        ({"squared_rows": 1}, "squared_rows must be true or false, got 1"),
+        ({"squared_rows": 1}, "unknown grid[1] field(s): ['squared_rows']"),
         ({"enc_split": [2, 1.0]}, "enc_split must be a list of integers, got [2, 1.0]"),
         ({"fista": {"max_iters": 100.5}}, "fista.max_iters must be an integer, got 100.5"),
         ({"fista": {"rel_tolerance": True}}, "fista.rel_tolerance must be a number, got True"),
         ({"eta": float("nan")}, "eta must be finite, got nan"),
+        ({"epochs": 0}, "invalid autoencoder config: epochs must be >= 1, got 0"),
+        ({"batch_size": 0}, "invalid autoencoder config: batch_size must be >= 1, got 0"),
+        ({"learning_rate": -1.0},
+         "invalid autoencoder config: learning_rate must be > 0, got -1.0"),
     ])
     def test_typed_field_in_point_rejected(self, dataset_dir, tmp_path, capsys, folds_run,
                                            override, message):
@@ -758,16 +772,21 @@ class TestSweepReuse:
 
 class TestMapAndInspect:
     def test_map_recomputes_from_stored_betas(self, dataset_dir, tmp_path):
+        # 12 folds: the map must read beta_fold10 and beta_fold11 after
+        # beta_fold9, in the fold order the run summed them in
         out = tmp_path / "results"
         cfg = write_config(
             tmp_path, "run.json",
-            {**SMALL_RUN, "dataset": str(dataset_dir), "out": str(out)},
+            {**SMALL_RUN, "cv": {"folds": 12, "seed": 7}, "dataset": str(dataset_dir),
+             "out": str(out)},
         )
         assert main(["run", "--config", str(cfg)]) == 0
-        before = (out / "significance.csv").read_bytes()
-        (out / "significance.csv").unlink()
+        names = ("significance.csv", "significance_t.mvrl")
+        before = {name: (out / name).read_bytes() for name in names}
+        for name in names:
+            (out / name).unlink()
         assert main(["map", "--results", str(out)]) == 0
-        assert (out / "significance.csv").read_bytes() == before
+        assert {name: (out / name).read_bytes() for name in names} == before
 
     def test_map_needs_fold_maps(self, tmp_path, capsys):
         assert main(["map", "--results", str(tmp_path)]) == 1

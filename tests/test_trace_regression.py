@@ -13,11 +13,9 @@ from mvtrace.trace_regression import (
     fit_mfista,
     lipschitz_constant,
     objective,
-    penalty,
     predict,
     predict_many,
     prox_group,
-    prox_squared_rows,
     row_norms,
     smooth_gradient,
 )
@@ -85,18 +83,13 @@ class TestObjective:
 
     def test_includes_both_penalties(self):
         lap = build_laplacian(grid_mesh(2, 2))
-        ds, _ = random_dataset(4, 2, 3, seed=3, laplacian=lap)
+        ds, _ = random_dataset(4, 2, 3, seed=3, laplacian=lap.matrix)
         beta = np.random.default_rng(4).standard_normal((4, 2))
         reg = RegularizationConfig(alpha=0.7, eta=1.3)
         base = objective(beta, ds, RegularizationConfig(alpha=0, eta=0))
         lap_term = 0.5 * 1.3 * float(np.sum(beta * (lap.matrix @ beta)))
         rows = 0.7 * float(np.sum(np.linalg.norm(beta, axis=1)))
         assert abs(objective(beta, ds, reg) - (base + lap_term + rows)) < 1e-10
-
-    def test_squared_variant(self):
-        beta = np.array([[3.0, 4.0], [0.0, 0.0]])
-        assert penalty(beta, RegularizationConfig(alpha=2.0, squared_rows=True)) == 50.0
-        assert penalty(beta, RegularizationConfig(alpha=2.0)) == 10.0
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -106,7 +99,7 @@ class TestObjective:
 class TestSmoothGradient:
     def test_matches_finite_differences(self):
         lap = build_laplacian(grid_mesh(2, 5))
-        ds, _ = random_dataset(10, 3, 5, seed=5, laplacian=lap, noise=0.3)
+        ds, _ = random_dataset(10, 3, 5, seed=5, laplacian=lap.matrix, noise=0.3)
         beta = np.random.default_rng(6).standard_normal((10, 3))
         eta = 0.8
         grad = smooth_gradient(beta, ds, eta)
@@ -130,7 +123,7 @@ class TestSmoothGradient:
 
     def test_laplacian_null_space(self):
         lap = build_laplacian(grid_mesh(3, 3))
-        ds = RegressionDataset(np.zeros((2, 9, 2)), np.zeros(2), lap)
+        ds = RegressionDataset(np.zeros((2, 9, 2)), np.zeros(2), lap.matrix)
         beta = np.tile([1.5, -2.0], (9, 1))  # constant rows
         assert np.abs(smooth_gradient(beta, ds, eta=3.0)).max() == 0.0
 
@@ -166,10 +159,6 @@ class TestProx:
             ref = reference_prox_rows(values, threshold)
             assert np.abs(got - ref).max() < 1e-3
 
-    def test_squared_rows_variant(self):
-        beta = np.array([[2.0, -4.0]])
-        assert np.allclose(prox_squared_rows(beta, 0.5), beta / 2.0)
-
 
 def dense_lipschitz(ds, eta, lap):
     """2·λmax(XᵀX) + eta·λmax(L) from dense eigendecompositions."""
@@ -181,7 +170,7 @@ def dense_lipschitz(ds, eta, lap):
 class TestLipschitz:
     def test_upper_bounds_gradient_curvature(self):
         lap = build_laplacian(grid_mesh(2, 3))
-        ds, _ = random_dataset(6, 2, 8, seed=10, laplacian=lap)
+        ds, _ = random_dataset(6, 2, 8, seed=10, laplacian=lap.matrix)
         eta = 2.0
         lf = lipschitz_constant(ds, eta)
         flat = ds.latents.reshape(8, -1)
@@ -221,7 +210,7 @@ class TestCachedProducts:
     @pytest.fixture
     def problem(self):
         lap = build_laplacian(grid_mesh(3, 4))
-        ds, _ = random_dataset(12, 3, 10, seed=23, laplacian=lap, noise=0.5)
+        ds, _ = random_dataset(12, 3, 10, seed=23, laplacian=lap.matrix, noise=0.5)
         return ds, RegularizationConfig(alpha=0.3, eta=0.7), lap
 
     def test_iterates_match_plain_loop(self, problem):
@@ -268,7 +257,7 @@ class TestMfista:
         support = [3, 11, 22]
         for j in support:
             beta_star[j] = rng.standard_normal(2)
-        ds, _ = random_dataset(30, 2, 100, seed=13, laplacian=lap, beta=beta_star)
+        ds, _ = random_dataset(30, 2, 100, seed=13, laplacian=lap.matrix, beta=beta_star)
         recovered = []
         for alpha in (1e-4, 1e-3, 1e-2, 1e-1):
             fit = fit_mfista(ds, RegularizationConfig(alpha=alpha, eta=0),
@@ -279,7 +268,7 @@ class TestMfista:
     def test_objective_sequence_nonincreasing(self):
         lap = build_laplacian(grid_mesh(3, 3))
         for seed in range(5):
-            ds, _ = random_dataset(9, 2, 12, seed=seed, laplacian=lap, noise=0.5)
+            ds, _ = random_dataset(9, 2, 12, seed=seed, laplacian=lap.matrix, noise=0.5)
             fit = fit_mfista(ds, RegularizationConfig(alpha=0.5, eta=0.5),
                              FistaConfig(max_iters=400))
             assert np.all(np.diff(fit.objectives) <= 0.0)
@@ -305,7 +294,7 @@ class TestMfista:
 
     def test_first_order_fixed_point(self):
         lap = build_laplacian(grid_mesh(2, 4))
-        ds, _ = random_dataset(8, 2, 15, seed=14, laplacian=lap, noise=0.3)
+        ds, _ = random_dataset(8, 2, 15, seed=14, laplacian=lap.matrix, noise=0.3)
         reg = RegularizationConfig(alpha=2.0, eta=1.0)
         fit = fit_mfista(ds, reg, FistaConfig(max_iters=60000, rel_tolerance=1e-15))
         step = fit.step_size
@@ -374,7 +363,7 @@ class TestScreening:
             rng = np.random.default_rng(seed)
             beta = np.zeros((30, 3))
             beta[rng.choice(30, 4, replace=False)] = rng.standard_normal((4, 3))
-            ds, _ = random_dataset(30, 3, 20, seed=seed, laplacian=lap, beta=beta, noise=0.5)
+            ds, _ = random_dataset(30, 3, 20, seed=seed, laplacian=lap.matrix, beta=beta, noise=0.5)
             alpha_max = row_norms(smooth_gradient(np.zeros((30, 3)), ds, 0.0)).max()
             for fraction in (0.2, 0.5):
                 yield ds, RegularizationConfig(alpha=fraction * alpha_max, eta=1.0)
@@ -397,8 +386,6 @@ class TestScreening:
     def test_gap_absent_without_group_penalty(self):
         ds, _ = random_dataset(4, 2, 10, seed=30, noise=0.5)
         assert fit_mfista(ds, RegularizationConfig(alpha=0.0, eta=0)).gap is None
-        squared = RegularizationConfig(alpha=1.0, eta=0, squared_rows=True)
-        assert fit_mfista(ds, squared).gap is None
         assert fit_mfista(ds, RegularizationConfig(alpha=1.0, eta=0)).gap >= 0.0
 
 
@@ -421,7 +408,7 @@ class TestWorkingSet:
             rng = np.random.default_rng(seed)
             beta = np.zeros((m, 3))
             beta[rng.choice(m, 6, replace=False)] = rng.standard_normal((6, 3))
-            ds, _ = random_dataset(m, 3, 30, seed=seed, laplacian=lap, beta=beta, noise=0.5)
+            ds, _ = random_dataset(m, 3, 30, seed=seed, laplacian=lap.matrix, beta=beta, noise=0.5)
             alpha_max = row_norms(smooth_gradient(np.zeros((m, 3)), ds, 0.0)).max()
             for fraction in fractions:
                 yield ds, RegularizationConfig(alpha=fraction * alpha_max, eta=1.0)
@@ -535,7 +522,16 @@ class TestDataset:
     def test_laplacian_dimension_checked(self):
         lap = build_laplacian(grid_mesh(2, 2))
         with pytest.raises(ValueError, match="dimension"):
-            RegressionDataset(np.zeros((2, 5, 2)), np.zeros(2), lap)
+            RegressionDataset(np.zeros((2, 5, 2)), np.zeros(2), lap.matrix)
+
+    def test_laplacian_is_a_sparse_matrix_kept_as_csr(self):
+        lap = build_laplacian(grid_mesh(2, 2))
+        latents = np.zeros((2, 4, 2))
+        assert RegressionDataset(latents, np.zeros(2), lap.matrix).laplacian is lap.matrix
+        coo = RegressionDataset(latents, np.zeros(2), lap.matrix.tocoo()).laplacian
+        assert coo.format == "csr" and (coo != lap.matrix).nnz == 0
+        with pytest.raises(TypeError, match="sparse matrix"):
+            RegressionDataset(latents, np.zeros(2), lap)
 
     def test_single_subject_accepted(self):
         ds = RegressionDataset(np.ones((1, 3, 2)), np.array([1.0]))

@@ -9,12 +9,15 @@
 # the benchmark's own Bench.write_configs (read from CHANGE, nothing written
 # under perfbench/).  Each side generates the cohort and runs every command the
 # workload has (run or sweep, and the raw workload's check run) with one BLAS
-# thread and the same --out.  Prints "DIFF <file>" for a file whose bytes
-# differ, "FILESET <dir>" for a directory whose file lists differ and
-# "FAIL <dir>" for a command that exited nonzero; every generated cohort file
-# is compared except its manifest.json.  The report is also kept in
-# WORK/report.txt.  Exits 1 if it printed any of those lines or a cohort could
-# not be generated, 2 on bad arguments, and 0 when every output matches.
+# thread and the same --out.  After comparing a run or check output, each side
+# rewrites its significance files with "mvtrace map --results" on its own
+# output, and those are compared again (one more report line per output).
+# Prints "DIFF <file>" for a file whose bytes differ, "FILESET <dir>" for a
+# directory whose file lists differ and "FAIL <dir>" for a command that exited
+# nonzero; every generated cohort file is compared except its manifest.json.
+# The report is also kept in WORK/report.txt.  Exits 1 if it printed any of
+# those lines or a cohort could not be generated, 2 on bad arguments, and 0
+# when every output matches.
 set -u
 
 if [ $# -ne 3 ]; then
@@ -78,6 +81,15 @@ for name, wl in workloads.WORKLOADS.items():
                 done
                 compare "$d/$c-P" "$d/$c-C"
                 echo "$w seed $s $c: $(ls "$d/$c-P" | wc -l) files"
+                [ "$cmd" = run ] || continue
+                for side in P C; do
+                    mvtrace "${!side}" map --results "$d/$c-$side" >/dev/null 2>&1 \
+                        || echo "FAIL $d/$c-$side map"
+                done
+                for f in significance.csv significance_t.mvrl; do
+                    cmp -s "$d/$c-P/$f" "$d/$c-C/$f" || echo "DIFF $d/$c-P/$f (map)"
+                done
+                echo "$w seed $s $c map: $(ls "$d/$c-P"/beta_fold*.mvrl 2>/dev/null | wc -l) fold maps"
             done
         done
     done
