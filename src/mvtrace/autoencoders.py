@@ -25,11 +25,29 @@ that a single Adam call updates; each epoch gathers its shuffled rows once
 into buffers allocated per fit, and a batch is a row slice of them; without
 a min-max map the targets are the inputs, gathered once; and the gradient
 w.r.t. the model's inputs is never formed.
+
+A step allocates no batch-sized array.  The calling thread allocates, before
+the first epoch and for the largest batch, each block's layer outputs, two
+input-gradient buffers and a relu mask, each decoder's loss difference, the
+code and its gradient, and Adam's scratch; the short last batch uses their
+leading rows.  The blocks meet only where their codes are concatenated and
+where the decoders' code gradients are summed, so each block's networks run
+on a thread of their own, in three fork/join phases per step: encoder
+forward; decoder forward, loss and backward; encoder backward.  The caller
+forms the code and its gradient between the phases, in block order, and
+runs Adam.  The caller runs the first block itself and a thread pool the
+others, so a fit uses one thread per block, at most one per usable CPU; the
+pool lives for one fit.  One block runs inline, and so does a fold worker
+of a process pool, whose sibling processes already fill the CPUs.  No
+element's arithmetic depends on the threads.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -286,8 +304,16 @@ def train_autoencoder(
     params, grads, net_grads = nn.share_buffers(encoders + decoders)
     state = nn.AdamState.for_parameters(params, learning_rate)
     ends = list(itertools.accumulate(width for _, width in blocks))
-    code_cols = [slice(end - width, end) for (_, width), end in zip(blocks, ends)]
     n = x_task.shape[0]
+    rows = min(batch_size, n)
+    # every buffer of a step is allocated here, by the calling thread, for
+    # the largest batch; the short last batch uses their leading rows
+    block_nets = [
+        _BlockNets(encoder, decoder, slice(end - width, end), enc_grads, dec_grads, rows)
+        for encoder, decoder, (_, width), end, enc_grads, dec_grads in zip(
+            encoders, decoders, blocks, ends, net_grads[:len(blocks)], net_grads[len(blocks):])
+    ]
+    z, dz = np.empty((rows, config.enc)), np.empty((rows, config.enc))
     shuffle_rng = np.random.default_rng(int(rng.integers(2**31)))
     # each epoch gathers its shuffled rows once, into buffers allocated here
     # (one set when the targets are the inputs); batches are row slices
@@ -295,44 +321,104 @@ def train_autoencoder(
     shuffled = [np.empty_like(x) for x in sources]
     shuffled_inputs, shuffled_targets = shuffled[:len(inputs)], shuffled[-len(inputs):]
     epoch_losses: list[tuple[float, ...]] = []
-    for _ in range(epochs):
-        order = shuffle_rng.permutation(n)
-        for x, buffer in zip(sources, shuffled):
-            # "clip" never clips a permutation, and unlike "raise" it writes
-            # straight into the buffer
-            np.take(x, order, axis=0, out=buffer, mode="clip")
-        totals = [0.0] * (len(blocks) + 1)
-        for start in range(0, n, batch_size):
-            rows = slice(start, start + batch_size)
-            losses = _step(encoders, decoders, code_cols,
-                           [x[rows] for x in shuffled_inputs],
-                           [t[rows] for t in shuffled_targets], net_grads)
-            nn.adam_step(state, params, grads)
-            size = min(batch_size, n - start)
-            for i, loss in enumerate([sum(losses), *losses]):
-                totals[i] += loss * size
-        epoch_losses.append(tuple(total / n for total in totals))
+    threads = _block_threads(len(block_nets))
+    # the calling thread runs the first block, the pool's threads the others
+    pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="mvtrace-block") if threads > 1 else None
+    try:
+        for _ in range(epochs):
+            order = shuffle_rng.permutation(n)
+            for x, buffer in zip(sources, shuffled):
+                # "clip" never clips a permutation, and unlike "raise" it writes
+                # straight into the buffer
+                np.take(x, order, axis=0, out=buffer, mode="clip")
+            totals = [0.0] * (len(blocks) + 1)
+            for start in range(0, n, batch_size):
+                batch = slice(start, start + batch_size)
+                size = min(batch_size, n - start)
+                losses = _step(block_nets, pool, [x[batch] for x in shuffled_inputs],
+                               [t[batch] for t in shuffled_targets], z[:size], dz[:size])
+                nn.adam_step(state, params, grads)
+                for i, loss in enumerate([sum(losses), *losses]):
+                    totals[i] += loss * size
+            epoch_losses.append(tuple(total / n for total in totals))
+    finally:
+        if pool is not None:
+            pool.shutdown()  # joins the threads, also after a failed step
     return Autoencoder(config, view, scalers, encoders, decoders, epoch_losses)
 
 
-def _step(encoders, decoders, code_cols, inputs, targets, net_grads):
-    """Forward and backward pass over one batch; writes the gradients into
-    ``net_grads`` (per network, encoders then decoders) and returns each
-    decoder's MSE.  The caches die with the call, before the next batch's
-    are built."""
-    codes, enc_caches = zip(*(e.forward_cache(x) for e, x in zip(encoders, inputs)))
-    z = np.concatenate(codes, axis=1)
-    recons, dec_caches = zip(*(d.forward_cache(z) for d in decoders))
-    enc_grads, dec_grads = net_grads[:len(encoders)], net_grads[len(encoders):]
-    losses, dzs = [], []
-    for d, cache, r, t, grads in zip(decoders, dec_caches, recons, targets, dec_grads):
-        loss, grad = nn.mse_loss_gradient(r, t)
-        losses.append(loss)
-        dzs.append(d.backward_cache(cache, grad, grads)[1])
-    dz = sum(dzs[1:], dzs[0])  # the first decoder's, then the others in order
-    # nothing reads the gradient w.r.t. the model's inputs
-    for e, cache, cols, grads in zip(encoders, enc_caches, code_cols, enc_grads):
-        e.backward_cache(cache, dz[:, cols], grads, input_grad=False)
+def _block_threads(blocks: int) -> int:
+    """The threads that run the blocks of one fit, the calling thread
+    included: one per block, at most one per usable CPU, and one in a
+    process that a multiprocessing pool started (a fold worker), whose
+    sibling processes already fill the CPUs."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(blocks, cpus or 1)
+
+
+class _BlockNets:
+    """One encoder block's encoder and decoder, their gradient views, and
+    the output buffers and backward scratch of their passes over batches of
+    up to ``rows`` rows.  The blocks of a step share only the code and its
+    gradient, which the caller forms, so each block's passes can run on a
+    thread of their own."""
+
+    def __init__(self, encoder, decoder, code_cols, enc_grads, dec_grads, rows):
+        self.encoder, self.decoder = encoder, decoder
+        self.code_cols = code_cols
+        self.enc_grads, self.dec_grads = enc_grads, dec_grads
+        self.enc_outputs = encoder.output_buffers(rows)
+        self.dec_outputs = decoder.output_buffers(rows)
+        self.diff = np.empty((rows, decoder.output_dim))
+        self.scratch = nn.backward_scratch([encoder, decoder], rows)
+        self.enc_cache = None
+
+    def encode(self, x):
+        """The batch's code; the encoder's cache stays for ``backward_encoder``."""
+        self.enc_cache = self.encoder.forward_cache(x, [o[:len(x)] for o in self.enc_outputs])
+        return self.enc_cache[-1]
+
+    def decode(self, z, target):
+        """(The decoder's MSE on ``target``, its gradient w.r.t. the code
+        ``z``), with the decoder's gradients written; the code gradient lies
+        in the scratch, which ``backward_encoder`` overwrites."""
+        cache = self.decoder.forward_cache(z, [o[:len(z)] for o in self.dec_outputs])
+        loss, grad = nn.mse_loss_gradient(cache[-1], target, self.diff[:len(z)],
+                                          self.scratch[0])
+        return loss, self.decoder.backward_cache(cache, grad, self.dec_grads, self.scratch)
+
+    def backward_encoder(self, dz):
+        """The encoder's gradients from the summed code gradient ``dz``;
+        nothing reads the gradient w.r.t. the model's inputs."""
+        self.encoder.backward_cache(self.enc_cache, dz[:, self.code_cols], self.enc_grads,
+                                    self.scratch, input_grad=False)
+
+
+def _fork_join(pool, fn, *iterables) -> list:
+    """``fn`` over the blocks' arguments, the first block's call on this
+    thread and the others on the pool's threads (all inline without a
+    pool); returns their results in block order once every call is done,
+    and raises a call's exception."""
+    calls = list(zip(*iterables))
+    if pool is None:
+        return [fn(*args) for args in calls]
+    futures = [pool.submit(fn, *args) for args in calls[1:]]
+    return [fn(*calls[0]), *(future.result() for future in futures)]
+
+
+def _step(blocks, pool, inputs, targets, z, dz):
+    """Forward and backward pass over one batch in three fork/join phases
+    over the blocks; writes every gradient and returns each decoder's MSE.
+    The code ``z`` and its gradient ``dz`` are formed between the phases,
+    in block order."""
+    np.concatenate(_fork_join(pool, _BlockNets.encode, blocks, inputs), axis=1, out=z)
+    losses, dzs = zip(*_fork_join(pool, _BlockNets.decode, blocks, itertools.repeat(z), targets))
+    np.copyto(dz, dzs[0])
+    for grad in dzs[1:]:
+        dz += grad  # the first decoder's, then the others in order
+    _fork_join(pool, _BlockNets.backward_encoder, blocks, itertools.repeat(dz))
     return losses
 
 
@@ -376,6 +462,16 @@ class OracleRepresentation:
 # --- fit specs consumed by the evaluation harness ---------------------------
 
 
+def check_training(epochs: int, batch_size: int, learning_rate: float) -> None:
+    """A ValueError naming the first training field out of range."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs!r}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
+    if not learning_rate > 0:
+        raise ValueError(f"learning_rate must be > 0, got {learning_rate!r}")
+
+
 @dataclass
 class AutoencoderSpec:
     """Recipe for fitting an autoencoder representation on training subjects."""
@@ -386,12 +482,7 @@ class AutoencoderSpec:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
+        check_training(self.epochs, self.batch_size, self.learning_rate)
 
     def fit(self, subjects: list[SubjectRecord], seed: int) -> Autoencoder:
         return train_autoencoder(

@@ -39,6 +39,7 @@ from .autoencoders import (
     AutoencoderSpec,
     PcaSpec,
     RawSpec,
+    check_training,
 )
 from .data import load_dataset
 from .mesh import build_laplacian
@@ -205,16 +206,20 @@ def _build_spec(cfg: dict):
     arch = cfg["arch"]
     if arch not in ARCH_CHOICES:
         raise ConfigError(f"arch must be one of {ARCH_CHOICES}, got {arch!r}")
-    if arch == "pca":
-        return PcaSpec(enc=cfg["enc"])
-    if arch == "raw":
-        return RawSpec()
-    hidden = cfg.get("hidden_dims")
-    if hidden is None:
-        from .autoencoders import DEFAULT_HIDDEN
-
-        hidden = DEFAULT_HIDDEN[arch]
+    training = {"epochs": cfg["epochs"], "batch_size": cfg["batch_size"],
+                "learning_rate": float(cfg["learning_rate"])}
     try:
+        # every arch's training fields are range-checked, also where no fit reads them
+        check_training(**training)
+        if arch == "pca":
+            return PcaSpec(enc=cfg["enc"])
+        if arch == "raw":
+            return RawSpec()
+        hidden = cfg.get("hidden_dims")
+        if hidden is None:
+            from .autoencoders import DEFAULT_HIDDEN
+
+            hidden = DEFAULT_HIDDEN[arch]
         config = ArchitectureConfig(
             kind=arch,
             enc=cfg["enc"],
@@ -223,12 +228,7 @@ def _build_spec(cfg: dict):
             hidden_activation=cfg["hidden_activation"],
             output_activation=cfg["output_activation"],
         )
-        return AutoencoderSpec(
-            config=config,
-            epochs=cfg["epochs"],
-            batch_size=cfg["batch_size"],
-            learning_rate=float(cfg["learning_rate"]),
-        )
+        return AutoencoderSpec(config=config, **training)
     except ValueError as exc:
         raise ConfigError(f"invalid autoencoder config: {exc}") from exc
 
@@ -248,8 +248,6 @@ RUN_FIELDS = set(RUN_DEFAULTS) | {"dataset", "out", "grid"}
 POINT_FIELDS = (RUN_FIELDS - {"out", "grid"}) | {"label"}
 CV_FIELDS = {"folds", "seed"}
 FISTA_FIELDS = {f.name for f in fields(FistaConfig)}
-# a grid point that changes only these shares each fold's representation fit
-PENALTY_FIELDS = {"alpha", "eta", "fista", "label"}
 
 
 def _check_numbers(cfg: dict) -> None:
@@ -327,11 +325,12 @@ def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
     """Cross-validate each grid point's overrides of ``cfg``; returns
     (SweepPoint, CvResult) pairs in grid order.
 
-    Every config is checked before any work starts.  Points whose configs
-    agree in every field outside PENALTY_FIELDS form one group, and each
-    group makes one ``evaluation.run_cv`` call with the group's penalties in
-    grid order, which fits each fold's representation once for all of them;
-    each dataset is loaded once.
+    Every config is checked before any work starts.  Points that agree in
+    what a fold's fit reads (the built spec, the dataset, ``cv``, ``seed``
+    and ``jobs``) form one group, and each group makes one
+    ``evaluation.run_cv`` call with the group's penalties in grid order,
+    which fits each fold's representation once for all of them; each
+    dataset is loaded once.
     """
     configs, points, penalties, groups = [], [], [], {}
     for i, overrides in enumerate(grid):
@@ -340,7 +339,9 @@ def _run_points(cfg: dict, grid: list[dict], labels: list[str]):
         configs.append(merged)
         points.append(evaluation.SweepPoint(labels[i], _build_spec(merged)))
         penalties.append(_build_reg_fista(merged))
-        shared = {k: v for k, v in merged.items() if k not in PENALTY_FIELDS}
+        # a dataclass repr spells every field, so equal reprs fit alike
+        shared = {"spec": repr(points[-1].spec),
+                  **{k: merged[k] for k in ("dataset", "cv", "seed", "jobs")}}
         groups.setdefault(json.dumps(shared, sort_keys=True), []).append(i)
     datasets = {}
     entries = [None] * len(grid)

@@ -5,19 +5,26 @@ activations, mean-squared-error loss, exact backpropagation, and Adam.
 Deliberately small — just enough to train the autoencoder stacks used by
 this package, deterministically for a fixed seed.
 
-A training step does little work beyond its GEMMs:
+A training step allocates no batch-sized array and does little work beyond
+its GEMMs:
 
-* a layer adds its bias and applies its activation in place on the GEMM
-  output, so a pass keeps each layer's input and output, not its
-  pre-activation;
-* backpropagation skips the derivative product of linear layers, masks relu
-  gradients by ``output > 0``, and can skip the input-gradient GEMM of the
-  first layer (``input_grad=False``) when nobody reads it;
-* ``mse_loss_gradient`` forms the loss and its gradient from one difference;
+* ``forward_cache`` writes each layer's GEMM into a caller's output buffer
+  (``MLP.output_buffers``) with ``out=``, then adds the bias and applies the
+  activation in place, so a pass keeps each layer's input and output, not
+  its pre-activation;
+* ``backward_cache`` writes the weight and bias gradients into the caller's
+  arrays and the input gradients into two buffers that it alternates
+  between (``backward_scratch``); it skips the derivative product of linear
+  layers, masks relu gradients by ``output > 0`` through a bool buffer, and
+  can skip the input-gradient GEMM of the first layer (``input_grad=False``)
+  when nobody reads it;
+* ``mse_loss_gradient`` forms the loss and its gradient from one difference,
+  in a caller's buffer;
 * ``share_buffers`` seats a set of networks' weights and biases in one flat
   parameter array with a matching flat gradient array, which the backward
   passes fill in place, so Adam updates every parameter in one call on one
-  array (``AdamState`` holds its two moment arrays).
+  array; ``AdamState`` holds its two moment arrays and one scratch array,
+  and ``adam_step`` uses the gradient array as its second scratch.
 
 Each of these keeps every element's arithmetic as the plain formula has it,
 so a fixed seed and BLAS thread count give the same bits.  ``scipy.special``
@@ -26,6 +33,7 @@ is imported only when a sigmoid layer runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,18 +55,28 @@ def apply_activation(name: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def activation_backward(name: str, grad: np.ndarray, a: np.ndarray) -> np.ndarray:
+def activation_backward(name: str, grad: np.ndarray, a: np.ndarray,
+                        scratch: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The gradient w.r.t. the pre-activation, from the gradient ``grad``
-    w.r.t. the output ``a``; ``grad`` is overwritten and returned."""
+    w.r.t. the output ``a``; ``grad`` is overwritten and returned.  A
+    sigmoid's slope is formed in the flat float array ``scratch``, a relu's
+    mask in the flat bool array ``mask``; each holds at least ``a.size``
+    elements."""
     if name == "linear":
         return grad
     if name == "relu":
-        return np.multiply(grad, a > 0.0, out=grad)
+        return np.multiply(grad, np.greater(a, 0.0, out=_view(mask, a.shape)), out=grad)
     if name == "sigmoid":
-        slope = 1.0 - a
+        slope = np.subtract(1.0, a, out=_view(scratch, a.shape))
         slope *= a
         return np.multiply(grad, slope, out=grad)
     raise ValueError(f"unknown activation {name!r}")
+
+
+def _view(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading elements of the flat array ``flat`` as a C-contiguous
+    array of ``shape``."""
+    return flat[:math.prod(shape)].reshape(shape)
 
 
 @dataclass
@@ -154,41 +172,62 @@ class MLP:
             x = _layer_forward(layer, x)
         return x
 
-    def forward_cache(self, x: np.ndarray):
-        """Forward pass keeping every layer's input, then the output."""
-        a = _as_batch(x, self.input_dim)
-        cache = [a]
-        for layer in self.layers:
-            a = _layer_forward(layer, a)
-            cache.append(a)
-        return a, cache
+    def output_buffers(self, rows: int) -> list[np.ndarray]:
+        """One (rows, fan_out) array per layer, for ``forward_cache``; a
+        batch of fewer rows uses their leading rows."""
+        return [np.empty((rows, layer.fan_out)) for layer in self.layers]
 
-    def backward_cache(self, cache, grad_output: np.ndarray, grads=None, *,
+    def forward_cache(self, x: np.ndarray, outputs: list[np.ndarray]) -> list[np.ndarray]:
+        """Forward pass of the 2-D batch ``x`` that writes each layer's output
+        into ``outputs`` (C-contiguous, one (rows, fan_out) array per layer).
+        Returns the cache ``[x, *outputs]``: every layer's input, then the
+        network's output."""
+        cache = [x]
+        for layer, out in zip(self.layers, outputs):
+            _layer_forward(layer, cache[-1], out)
+            cache.append(out)
+        return cache
+
+    def backward_cache(self, cache, grad_output: np.ndarray, grads, scratch, *,
                        input_grad: bool = True):
         """Backpropagate an output-side gradient through the cached pass.
 
-        Returns (per-layer [(dW, db), ...], gradient w.r.t. the input batch).
-        The gradients are written into ``grads`` when given (pairs of arrays
-        shaped like each layer's weights and bias).  With ``input_grad=False``
-        the first layer's input-gradient GEMM is skipped and None returned in
-        its place.  ``grad_output`` is overwritten.
+        Writes each layer's gradients into ``grads`` (pairs of arrays shaped
+        like its weights and bias) and returns the gradient w.r.t. the input
+        batch, a view into ``scratch`` (see ``backward_scratch``) that the
+        next pass over the same scratch overwrites.  With
+        ``input_grad=False`` the first layer's input-gradient GEMM is skipped
+        and None returned.  ``grad_output`` is overwritten and must not lie
+        in ``scratch``.
         """
-        if grads is None:
-            grads = [(np.empty_like(layer.weights), np.empty_like(layer.bias))
-                     for layer in self.layers]
+        buffers, mask = scratch[:2], scratch[2]
         g = grad_output
-        for k in range(len(self.layers) - 1, -1, -1):
+        last = len(self.layers) - 1
+        for k in range(last, -1, -1):
             layer = self.layers[k]
-            delta = activation_backward(layer.activation, g, cache[k + 1])
+            # g lies in the other buffer (or outside the scratch at k == last)
+            free = buffers[(last - k) % 2]
+            delta = activation_backward(layer.activation, g, cache[k + 1], free, mask)
             dw, db = grads[k]
             np.matmul(cache[k].T, delta, out=dw)
             np.sum(delta, axis=0, out=db)
-            g = delta @ layer.weights.T if k or input_grad else None
-        return grads, g
+            if not (k or input_grad):
+                return None
+            g = np.matmul(delta, layer.weights.T, out=_view(free, (len(delta), layer.fan_in)))
+        return g
 
 
-def _layer_forward(layer: DenseLayer, a: np.ndarray) -> np.ndarray:
-    z = a @ layer.weights
+def backward_scratch(nets: list[MLP], rows: int):
+    """The scratch of ``backward_cache`` passes through any of ``nets`` over
+    batches of up to ``rows`` rows: two flat float arrays that the input
+    gradients alternate between, and one flat bool array for relu masks,
+    each with room for ``rows`` rows of the widest layer side."""
+    size = rows * max(max(layer.fan_in, layer.fan_out) for net in nets for layer in net.layers)
+    return np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+
+
+def _layer_forward(layer: DenseLayer, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    z = np.matmul(a, layer.weights, out=out)
     z += layer.bias
     return apply_activation(layer.activation, z)
 
@@ -210,13 +249,15 @@ def mse_loss(prediction: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def mse_loss_gradient(prediction: np.ndarray, target: np.ndarray):
+def mse_loss_gradient(prediction: np.ndarray, target: np.ndarray, diff: np.ndarray,
+                      scratch: np.ndarray):
     """(mse_loss, its gradient w.r.t. the prediction), both from one
-    difference array."""
+    difference, formed in ``diff`` (shaped like the prediction); the squares
+    are formed in the flat array ``scratch``."""
     if prediction.shape != target.shape:
         raise ValueError(f"shape mismatch {prediction.shape} vs {target.shape}")
-    diff = prediction - target
-    loss = float(np.mean(diff * diff))
+    np.subtract(prediction, target, out=diff)
+    loss = float(np.mean(np.multiply(diff, diff, out=_view(scratch, diff.shape))))
     diff *= 2.0
     diff /= diff.size
     return loss, diff
@@ -227,9 +268,14 @@ def backward(mlp: MLP, x: np.ndarray, target: np.ndarray):
 
     Returns a list of (dW, db) pairs aligned with ``mlp.layers``.
     """
-    out, cache = mlp.forward_cache(x)
+    x = _as_batch(x, mlp.input_dim)
     target = _as_batch(target, mlp.output_dim)
-    grads, _ = mlp.backward_cache(cache, mse_loss_gradient(out, target)[1])
+    cache = mlp.forward_cache(x, mlp.output_buffers(len(x)))
+    scratch = backward_scratch([mlp], len(x))
+    _, grad = mse_loss_gradient(cache[-1], target, np.empty_like(target), scratch[0])
+    grads = [(np.empty_like(layer.weights), np.empty_like(layer.bias))
+             for layer in mlp.layers]
+    mlp.backward_cache(cache, grad, grads, scratch)
     return grads
 
 
@@ -270,10 +316,12 @@ def share_buffers(nets: list[MLP]):
 class AdamState:
     """Adam accumulator state of one parameter array (a flat buffer from
     ``share_buffers`` holds every parameter of a model): the first and
-    second moment arrays, shaped like the parameters."""
+    second moment arrays, and a scratch array for ``adam_step``, each shaped
+    like the parameters."""
 
     moment1: np.ndarray
     moment2: np.ndarray
+    scratch: np.ndarray
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -282,11 +330,15 @@ class AdamState:
 
     @classmethod
     def for_parameters(cls, params: np.ndarray, learning_rate: float = 1e-3) -> "AdamState":
-        return cls(np.zeros_like(params), np.zeros_like(params), learning_rate)
+        return cls(np.zeros_like(params), np.zeros_like(params), np.empty_like(params),
+                   learning_rate)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
+    """One bias-corrected Adam update, applied to ``params`` in place.
+
+    ``grads`` serves as scratch and is overwritten; a training loop forms
+    every gradient anew before the next step."""
     if params.shape != grads.shape:
         raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
     state.timestep += 1
@@ -294,20 +346,20 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    m, v = state.moment1, state.moment2
-    # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g², and
-    # p -= lr*(m/c1) / (sqrt(v/c2) + eps), through two scratch arrays
-    scratch = np.multiply(grads, 1.0 - b1)
-    m *= b1
-    m += scratch
+    m, v, scratch = state.moment1, state.moment2, state.scratch
+    # v = b2*v + (1-b2)*g² while g is intact, then m = b1*m + (1-b1)*g and
+    # p -= lr*(m/c1) / (sqrt(v/c2) + eps), with g's array as the second scratch
     np.multiply(grads, grads, out=scratch)
     scratch *= 1.0 - b2
     v *= b2
     v += scratch
+    update = np.multiply(grads, 1.0 - b1, out=grads)
+    m *= b1
+    m += update
     np.divide(v, c2, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += state.epsilon
-    update = m / c1
+    np.divide(m, c1, out=update)
     update *= state.learning_rate
     update /= scratch
     params -= update

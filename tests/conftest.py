@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,10 @@ def assert_near_tight_solve(dataset, reg, fista, beta):
     best = objective(tight.beta, dataset, reg)
     cold = objective(fit_mfista(dataset, reg, fista).beta, dataset, reg) - best
     assert objective(beta, dataset, reg) - best <= max(cold, PATH_OBJECTIVE_RTOL * abs(best))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so an mdae fit outside a fold worker runs its two
+    blocks on two threads whatever machine the tests run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -1,7 +1,13 @@
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
 from conftest import random_views
+from mvtrace import autoencoders, nn
 from mvtrace.autoencoders import (
     KINDS,
     ArchitectureConfig,
@@ -204,6 +210,104 @@ class TestMdaeTraining:
             model = train_autoencoder((x_t, x_r), config, seed=0, epochs=300,
                                       batch_size=500, learning_rate=1e-3)
             assert model.epoch_losses[-1][0] < model.epoch_losses[0][0]
+
+
+def weights(model):
+    return [p for net in model.encoders + model.decoders for p in net.parameters()]
+
+
+class TestParallelStep:
+    """An mdae fit runs its task and rest blocks on threads of their own,
+    over buffers allocated once per fit; a fold worker fits serially."""
+
+    @pytest.mark.parametrize("hidden,output", [
+        ("relu", "linear"), ("linear", "sigmoid"), ("relu", "sigmoid"),
+    ])
+    def test_threaded_fit_matches_serial_fit(self, two_cpus, monkeypatch, hidden, output):
+        x_t, x_r = random_views(203, 7, 5, seed=3)  # batch 50 leaves a short last batch
+        cfg = ArchitectureConfig(kind="mdae", enc=4, hidden_dims=(9, 6),
+                                 hidden_activation=hidden, output_activation=output)
+        fit = dict(seed=5, epochs=3, batch_size=50, learning_rate=3e-3)
+        # the serial path: a worker of a process pool, as a fold worker fits
+        with ProcessPoolExecutor(1) as pool:
+            assert pool.submit(autoencoders._block_threads, 2).result(timeout=60) == 1
+            serial = pool.submit(train_autoencoder, (x_t, x_r), cfg, **fit).result(timeout=120)
+        threads = set()
+        forward = nn.MLP.forward_cache
+
+        def recording(net, *args):
+            threads.add(threading.get_ident())
+            return forward(net, *args)
+
+        monkeypatch.setattr(nn.MLP, "forward_cache", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a race would show in the bits
+        try:
+            threaded = train_autoencoder((x_t, x_r), cfg, **fit)
+        finally:
+            sys.setswitchinterval(interval)
+        # the calling thread runs the task block, a pool thread the rest block
+        assert len(threads) == 2 and threading.get_ident() in threads
+        assert all(np.array_equal(a, b) for a, b in zip(weights(threaded), weights(serial)))
+        assert threaded.epoch_losses == serial.epoch_losses
+
+    def test_no_thread_outlives_a_fit(self, two_cpus, monkeypatch):
+        x_t, x_r = random_views(120, 4, 3, seed=0)
+        cfg = ArchitectureConfig(kind="mdae", enc=2, hidden_dims=(5,))
+        fit = dict(seed=0, epochs=2, batch_size=32, learning_rate=1e-3)
+        start = threading.active_count()
+        counts, fail = [], False
+        backward = nn.MLP.backward_cache
+
+        def counting(net, *args, **kwargs):
+            counts.append(threading.active_count())
+            if len(counts) > 9 and fail:
+                raise RuntimeError("step failed")
+            return backward(net, *args, **kwargs)
+
+        monkeypatch.setattr(nn.MLP, "backward_cache", counting)
+        train_autoencoder((x_t, x_r), cfg, **fit)
+        assert max(counts) == start + 1 and threading.active_count() == start
+        counts.clear()
+        fail = True
+        with pytest.raises(RuntimeError, match="step failed"):
+            train_autoencoder((x_t, x_r), cfg, **fit)
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("kind", ["mdae", "concat-ae"])
+    def test_step_allocates_no_batch_sized_array(self, monkeypatch, kind):
+        # numpy's own iteration buffers (a cast, a broadcast in place, a
+        # strided operand) take np.getbufsize() elements each, three at most
+        # in one call of this step (measured); a batch-sized array of
+        # ``rows`` rows takes at least twice what four of them take.  One
+        # thread runs the fit, so no two calls' buffers overlap in time.
+        monkeypatch.setattr(autoencoders, "_block_threads", lambda blocks: 1)
+        buffers = 4 * np.getbufsize() * 8
+        rows = buffers // 4
+        x_t, x_r = random_views(3 * rows, 6, 5, seed=1)
+        cfg = ArchitectureConfig(kind=kind, enc=4, hidden_dims=(8,),
+                                 hidden_activation="relu", output_activation="sigmoid")
+        growth, base = [], []
+        step = nn.adam_step
+
+        def traced(*args):
+            # peak bytes above those at the last call: one Adam step, then
+            # one batch's forward and backward passes
+            current, peak = tracemalloc.get_traced_memory()
+            if base:
+                growth.append(peak - base[-1])
+            base.append(current)
+            tracemalloc.reset_peak()
+            return step(*args)
+
+        monkeypatch.setattr(nn, "adam_step", traced)
+        tracemalloc.start()
+        try:
+            train_autoencoder((x_t, x_r), cfg, seed=0, epochs=1, batch_size=rows,
+                              learning_rate=1e-3)
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == 2 and max(growth) < buffers, growth
 
 
 # (kind, hidden widths) of the stackings in the architecture sweep

@@ -12,7 +12,7 @@ import pytest
 from conftest import assert_near_tight_solve, recorded_solves
 import mvtrace
 from mvtrace import evaluation, io, synth
-from mvtrace.autoencoders import AutoencoderSpec
+from mvtrace.autoencoders import AutoencoderSpec, PcaSpec
 from mvtrace.cli import RUN_DEFAULTS, main
 from mvtrace.data import load_dataset
 
@@ -486,6 +486,11 @@ class TestRun:
          "invalid autoencoder config: learning_rate must be > 0, got 0.0"),
         ({"arch": "mdae", "learning_rate": -1.0},
          "invalid autoencoder config: learning_rate must be > 0, got -1.0"),
+        # ... also for an arch that never reads them
+        ({"learning_rate": -5.0},
+         "invalid autoencoder config: learning_rate must be > 0, got -5.0"),
+        ({"arch": "raw", "batch_size": 0},
+         "invalid autoencoder config: batch_size must be >= 1, got 0"),
     ])
     def test_numeric_field_of_wrong_type_rejected(self, dataset_dir, tmp_path, capsys,
                                                   folds_run, override, message):
@@ -629,6 +634,10 @@ class TestSweep:
         ({"batch_size": 0}, "invalid autoencoder config: batch_size must be >= 1, got 0"),
         ({"learning_rate": -1.0},
          "invalid autoencoder config: learning_rate must be > 0, got -1.0"),
+        ({"arch": "pca", "learning_rate": -5.0},
+         "invalid autoencoder config: learning_rate must be > 0, got -5.0"),
+        ({"arch": "pca", "batch_size": 0},
+         "invalid autoencoder config: batch_size must be >= 1, got 0"),
     ])
     def test_typed_field_in_point_rejected(self, dataset_dir, tmp_path, capsys, folds_run,
                                            override, message):
@@ -763,11 +772,27 @@ class TestSweepReuse:
         for label in labels:
             assert fold_cells(forward, label) == fold_cells(backward, label)
 
-    def test_parallel_folds_match_sequential(self, dataset_dir, tmp_path):
-        seq = self.sweep(dataset_dir, tmp_path, "seq", jobs=1)
-        par = self.sweep(dataset_dir, tmp_path, "par", jobs=2)
-        for name in ("folds.csv", "summary.csv"):
-            assert (seq / name).read_bytes() == (par / name).read_bytes()
+    def test_points_share_the_fit_their_specs_agree_on(self, dataset_dir, tmp_path,
+                                                       monkeypatch):
+        # a pca fit reads no autoencoder training field
+        fits = []
+        fit = PcaSpec.fit
+        monkeypatch.setattr(PcaSpec, "fit",
+                            lambda spec, *args: fits.append(spec) or fit(spec, *args))
+        self.sweep(dataset_dir, tmp_path, "pca", grid=[{"epochs": 1}, {"epochs": 2}],
+                   arch="pca")
+        assert len(fits) == 4  # 2 points x 4 folds, one fit per fold
+
+    @pytest.mark.parametrize("arch", ["concat-ae", "mdae"])
+    def test_parallel_folds_match_sequential(self, dataset_dir, tmp_path, two_cpus, arch):
+        # jobs=2 fits in fold workers, serially; with jobs=1 an mdae fit runs
+        # its blocks on two threads
+        for grid in (PENALTY_GRID, PENALTY_GRID[:1]):
+            seq = self.sweep(dataset_dir, tmp_path, f"seq{len(grid)}", grid, arch=arch, jobs=1)
+            par = self.sweep(dataset_dir, tmp_path, f"par{len(grid)}", grid, arch=arch, jobs=2)
+            assert tree_bytes(seq, skip=("manifest.json",)) == \
+                tree_bytes(par, skip=("manifest.json",))
+        assert len(list(seq.glob("beta_fold*.mvrl"))) == 4  # one point: the fold maps
 
 
 class TestMapAndInspect:

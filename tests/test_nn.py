@@ -44,7 +44,7 @@ def gradient_check_case(dims, hidden, output, seed, batch=7, kink_margin=1e-3):
         target = rng.standard_normal((batch, dims[-1]))
         if output == "sigmoid":
             target = 1.0 / (1.0 + np.exp(-target))
-        _, cache = mlp.forward_cache(x)  # each layer's input, then the output
+        cache = mlp.forward_cache(x, mlp.output_buffers(batch))  # inputs, then output
         clear = all(
             np.abs(a @ layer.weights + layer.bias).min() > kink_margin
             for layer, a in zip(mlp.layers, cache)
@@ -165,9 +165,11 @@ class TestAdam:
         flat_state = nn.AdamState.for_parameters(flat, learning_rate=1e-2)
         for _ in range(5):
             grads = [rng.standard_normal(shape) for shape in shapes]
+            # adam_step overwrites the gradients: join them first
+            flat_grads = np.concatenate([g.ravel() for g in grads])
             for state, p, g in zip(sep_states, separate, grads):
                 nn.adam_step(state, p, g)
-            nn.adam_step(flat_state, flat, np.concatenate([g.ravel() for g in grads]))
+            nn.adam_step(flat_state, flat, flat_grads)
             assert np.array_equal(flat, np.concatenate([p.ravel() for p in separate]))
         for name in ("moment1", "moment2"):
             joined = np.concatenate([getattr(state, name).ravel() for state in sep_states])
@@ -203,10 +205,10 @@ class TestSharedBuffers:
         mlp, x, target = gradient_check_case([6, 5, 4, 3], "relu", "sigmoid", 0)
         expected = nn.backward(mlp, x, target)
         _, grads, (views,) = nn.share_buffers([mlp])
-        out, cache = mlp.forward_cache(x)
-        _, g_in = mlp.backward_cache(cache, nn.mse_loss_gradient(out, target)[1], views,
-                                     input_grad=False)
-        assert g_in is None
+        cache = mlp.forward_cache(x, mlp.output_buffers(len(x)))
+        scratch = nn.backward_scratch([mlp], len(x))
+        _, grad = nn.mse_loss_gradient(cache[-1], target, np.empty_like(target), scratch[0])
+        assert mlp.backward_cache(cache, grad, views, scratch, input_grad=False) is None
         for (dw, db), (ew, eb) in zip(views, expected):
             assert np.array_equal(dw, ew) and np.array_equal(db, eb)
 

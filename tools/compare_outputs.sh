@@ -12,6 +12,9 @@
 # thread and the same --out.  After comparing a run or check output, each side
 # rewrites its significance files with "mvtrace map --results" on its own
 # output, and those are compared again (one more report line per output).
+# Then each side runs the mdae_cv run twice more, once with --jobs 2 (fold
+# worker processes) and once with two BLAS threads, and each pair is compared
+# the same way (one report line each).
 # Prints "DIFF <file>" for a file whose bytes differ, "FILESET <dir>" for a
 # directory whose file lists differ and "FAIL <dir>" for a command that exited
 # nonzero; every generated cohort file is compared except its manifest.json.
@@ -91,6 +94,21 @@ for name, wl in workloads.WORKLOADS.items():
                 done
                 echo "$w seed $s $c map: $(ls "$d/$c-P"/beta_fold*.mvrl 2>/dev/null | wc -l) fold maps"
             done
+        done
+        d=$W/mdae_cv-$s
+        for leg in jobs2 blas2; do
+            for side in P C; do
+                rm -rf "$W/out"
+                if [ "$leg" = jobs2 ]; then
+                    mvtrace "${!side}" run --config "$d/run.json" --out "$W/out" --jobs 2
+                else
+                    OPENBLAS_NUM_THREADS=2 mvtrace "${!side}" run --config "$d/run.json" --out "$W/out"
+                fi >/dev/null 2>&1 || echo "FAIL $d/$leg-$side"
+                mkdir -p "$W/out"
+                mv "$W/out" "$d/$leg-$side"
+            done
+            compare "$d/$leg-P" "$d/$leg-C"
+            echo "mdae_cv seed $s run $leg: $(ls "$d/$leg-P" | wc -l) files"
         done
     done
 }
