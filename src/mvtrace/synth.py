@@ -23,6 +23,16 @@ The score is a planted trace model y = tr(beta_trueᵀ H) + noise, where
 beta_true is nonzero only on the planted clusters and is scaled so the
 noiseless score has unit population variance.  Scores are z-scored across
 the cohort unless ``standardize_scores=False``.
+
+Generation makes two passes over the subjects.  The first draws every random
+number in the generator's fixed per-subject order (white field, one shared
+factor per cluster when w > 0, task noise, rest noise, nuisance latents when
+``rest_nuisance_dim > 0``, score noise).  Then one block conjugate-gradient
+solve smooths beta's columns and every subject's white columns together, and
+the second pass assembles the subjects.  The block solve runs scipy's
+per-column ``cg`` arithmetic column by column (see ``_smooth_columns``), so a
+cohort is byte-identical to one smoothed a column at a time, and generation
+needs no ``scipy.sparse.linalg``.
 """
 
 from __future__ import annotations
@@ -79,6 +89,9 @@ class GeneratorConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.noise_sigma < 0 or min(self.view_noise_sigma) < 0:
             raise ValueError("noise levels must be nonnegative")
+        if self.smoothing < 0:
+            # I + smoothing*L would be indefinite: a roughened field, not a smooth one
+            raise ValueError(f"smoothing must be >= 0, got {self.smoothing!r}")
         if not (0.0 <= self.cluster_coherence < 1.0):
             raise ValueError("cluster_coherence must be in [0, 1)")
         if self.rest_nuisance_dim < 0 or self.rest_nuisance_scale < 0:
@@ -119,19 +132,55 @@ def make_mesh(spec: str) -> Mesh:
     raise ValueError(f"bad mesh spec {spec!r}: expected 'icosphere-<k>' or 'grid-<r>x<c>'")
 
 
-def _smooth_columns(laplacian: GraphLaplacian, white: np.ndarray, lam: float) -> np.ndarray:
-    """Apply (I + lam*L)^-1 column-wise via conjugate-gradient solves."""
-    from scipy.sparse.linalg import cg  # only generate loads scipy.sparse.linalg
+def _smooth_columns(laplacian: GraphLaplacian, columns: np.ndarray, lam: float) -> np.ndarray:
+    """Apply (I + lam*L)^-1 to every column of ``columns`` in one block CG solve.
 
+    Each column follows the arithmetic of ``scipy.sparse.linalg.cg(operator,
+    b, rtol=1e-8, atol=0.0)`` step for step, so the result is bit-identical
+    to solving the columns one at a time: x0 = 0 and no preconditioner; a
+    zero column is returned as it is; at the top of each of at most 10*m
+    iterations a column stops once sqrt(r.r) < 1e-8*||b||; rho = r.r, p = r
+    on the first pass and p*(rho/rho_prev) + r after it, q = operator @ p,
+    alpha = rho/(p.q), x += alpha*p, r -= alpha*q.  The block changes only
+    how the operations are issued.  Every dot is ``np.vecdot`` over the
+    C-contiguous rows of the transposed block, one BLAS ddot per row, as
+    ``np.dot`` on a column; elementwise updates round each entry alone; and
+    one sparse product ``operator @ P`` (scipy's csr_matvecs) sums each row
+    of every column in the order of the one-vector csr_matvec.  A converged
+    column leaves the block.  A column still unconverged after 10*m
+    iterations raises RuntimeError, as a nonzero ``info`` from ``cg`` did.
+    """
     m = laplacian.dimension
     operator = sparse.identity(m, format="csr") + lam * laplacian.matrix
-    out = np.empty_like(white)
-    for k in range(white.shape[1]):
-        solution, info = cg(operator, white[:, k], rtol=1e-8, atol=0.0)
-        if info != 0:
-            raise RuntimeError(f"CG smoothing failed to converge (info={info})")
-        out[:, k] = solution
-    return out
+    out = columns.T.copy()  # one right-hand side per row, replaced by its solution
+    b_norm = np.sqrt(np.vecdot(out, out))
+    active = np.flatnonzero(b_norm != 0)  # rows of out still unconverged
+    atol = 1e-8 * b_norm[active]
+    x = np.zeros((active.size, m))
+    r = out[active]
+    p = rho_prev = None
+    for iteration in range(10 * m):
+        rho = np.vecdot(r, r)
+        keep = ~(np.sqrt(rho) < atol)  # as cg's test: a NaN residual keeps iterating
+        if not keep.all():
+            out[active[~keep]] = x[~keep]
+            active, atol, x, r, rho = active[keep], atol[keep], x[keep], r[keep], rho[keep]
+            if iteration:
+                p, rho_prev = p[keep], rho_prev[keep]
+        if not active.size:
+            break
+        p = r.copy() if iteration == 0 else p * (rho / rho_prev)[:, None] + r
+        q = np.ascontiguousarray((operator @ p.T).T)
+        alpha = rho / np.vecdot(p, q)
+        x += alpha[:, None] * p
+        r -= alpha[:, None] * q
+        rho_prev = rho
+    if active.size:
+        raise RuntimeError(
+            f"CG smoothing failed to converge: {active.size} of {len(out)} columns "
+            f"after {10 * m} iterations"
+        )
+    return np.ascontiguousarray(out.T)
 
 
 def _smoothed_entry_std(laplacian: GraphLaplacian, lam: float) -> float:
@@ -213,17 +262,6 @@ def generate(config: GeneratorConfig):
     clusters = _grow_clusters(laplacian, config.n_clusters, config.cluster_size, rng)
     beta = _planted_beta(m, k, clusters, rng)
 
-    # scale beta so the noiseless score tr(betaᵀH) has unit population
-    # variance; the background and cluster-factor parts are independent:
-    # Var = (1-w²) sum_k ||S beta_k||²/g²  +  w² sum_c ||sum_{j in c} beta_j||²
-    entry_std = _smoothed_entry_std(laplacian, config.smoothing)
-    smoothed_beta = _smooth_columns(laplacian, beta, config.smoothing)
-    w = config.cluster_coherence
-    field_var = float(np.sum(smoothed_beta**2)) / entry_std**2
-    cluster_var = sum(float(np.sum(beta[c].sum(axis=0) ** 2)) for c in clusters)
-    signal_var = (1.0 - w**2) * field_var + w**2 * cluster_var
-    beta /= np.sqrt(signal_var)
-
     w_task, w_rest = config.loading_weights
     loading_task = w_task * rng.standard_normal((k, config.d_task)) / np.sqrt(k)
     loading_rest = w_rest * rng.standard_normal((k, config.d_rest)) / np.sqrt(k)
@@ -234,27 +272,49 @@ def generate(config: GeneratorConfig):
         else None
     )
 
+    # draw pass: `fields` holds beta's k columns, then subject i's white field
+    # in columns k*(i+1) .. k*(i+2), so one solve smooths them all; each view
+    # starts as its scaled noise and gets its signal added in the assembly
+    # pass (noise + signal rounds as signal + noise did)
+    w = config.cluster_coherence
+    sigma_task, sigma_rest = config.view_noise_sigma
+    fields = np.empty((m, k * (config.n_subjects + 1)))
+    fields[:, :k] = beta
+    draws = []
+    for i in range(config.n_subjects):
+        fields[:, k * (i + 1):k * (i + 2)] = rng.standard_normal((m, k))
+        shared = [rng.standard_normal(k) for _ in clusters] if w > 0 else []
+        x_task = sigma_task * rng.standard_normal((m, config.d_task))
+        x_rest = sigma_rest * rng.standard_normal((m, config.d_rest))
+        nuisance = rng.standard_normal((m, q)) if loading_nuisance is not None else None
+        score_noise = config.noise_sigma * rng.standard_normal()
+        draws.append((shared, x_task, x_rest, nuisance, score_noise))
+    smoothed = _smooth_columns(laplacian, fields, config.smoothing)
+
+    # scale beta so the noiseless score tr(betaᵀH) has unit population
+    # variance; the background and cluster-factor parts are independent:
+    # Var = (1-w²) sum_k ||S beta_k||²/g²  +  w² sum_c ||sum_{j in c} beta_j||²
+    entry_std = _smoothed_entry_std(laplacian, config.smoothing)
+    field_var = float(np.sum(smoothed[:, :k] ** 2)) / entry_std**2
+    cluster_var = sum(float(np.sum(beta[c].sum(axis=0) ** 2)) for c in clusters)
+    signal_var = (1.0 - w**2) * field_var + w**2 * cluster_var
+    beta /= np.sqrt(signal_var)
+
+    # assembly pass
     subjects = []
     latents: dict[str, np.ndarray] = {}
     raw_scores = np.empty(config.n_subjects)
-    for i in range(config.n_subjects):
+    for i, (shared, x_task, x_rest, nuisance, score_noise) in enumerate(draws):
         sid = f"s{i:03d}"
-        white = rng.standard_normal((m, k))
-        h = _smooth_columns(laplacian, white, config.smoothing) / entry_std
-        if w > 0:
-            for cluster in clusters:
-                shared = rng.standard_normal(k)
-                h[cluster] = np.sqrt(1.0 - w**2) * h[cluster] + w * shared
+        h = smoothed[:, k * (i + 1):k * (i + 2)] / entry_std
+        for cluster, g in zip(clusters, shared):
+            h[cluster] = np.sqrt(1.0 - w**2) * h[cluster] + w * g
         latents[sid] = h
-        x_task = h @ loading_task + config.view_noise_sigma[0] * rng.standard_normal(
-            (m, config.d_task)
-        )
-        x_rest = h @ loading_rest + config.view_noise_sigma[1] * rng.standard_normal(
-            (m, config.d_rest)
-        )
-        if loading_nuisance is not None:
-            x_rest += rng.standard_normal((m, q)) @ loading_nuisance
-        raw_scores[i] = float(np.sum(beta * h)) + config.noise_sigma * rng.standard_normal()
+        x_task += h @ loading_task
+        x_rest += h @ loading_rest
+        if nuisance is not None:
+            x_rest += nuisance @ loading_nuisance
+        raw_scores[i] = float(np.sum(beta * h)) + score_noise
         subjects.append(SubjectRecord(sid, x_task, x_rest, raw_scores[i]))
 
     score_mean = float(raw_scores.mean())

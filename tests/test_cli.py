@@ -66,35 +66,41 @@ def dataset_dir(tmp_path_factory):
     return tmp_path / "ds"
 
 
-# scipy modules that a relu/linear run never calls; a run loads scipy.sparse only
+# scipy modules that generate and a relu/linear run never call; they load
+# scipy.sparse only
 UNUSED_SCIPY = ("scipy.linalg", "scipy.special", "scipy.sparse.linalg", "scipy.sparse.csgraph")
 
 
-def test_run_imports_no_unused_scipy(dataset_dir, tmp_path):
+def test_run_imports_no_unused_scipy(tmp_path):
+    gen = write_config(tmp_path, "gen.json", {**SMALL_GENERATE, "out": str(tmp_path / "ds")})
     cfg = write_config(
         tmp_path, "run.json",
         {**SMALL_RUN, "arch": "mdae", "enc": 4, "hidden_dims": [6],
          "hidden_activation": "relu", "epochs": 2, "batch_size": 64,
-         "dataset": str(dataset_dir), "out": str(tmp_path / "o")},
+         "dataset": str(tmp_path / "ds"), "out": str(tmp_path / "o")},
     )
     script = (
         "import json, sys\n"
         "import mvtrace.cli\n"
-        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
-        "code = mvtrace.cli.main(['run', '--config', sys.argv[1]])\n"
-        "print(json.dumps([code, loaded, [m for m in sys.modules if m.startswith('scipy')]]))\n"
+        "def scipy_modules(): return [m for m in sys.modules if m.startswith('scipy')]\n"
+        "loaded = [scipy_modules()]\n"
+        "codes = [mvtrace.cli.main(['generate', '--config', sys.argv[1]])]\n"
+        "loaded.append(scipy_modules())\n"
+        "codes.append(mvtrace.cli.main(['run', '--config', sys.argv[2]]))\n"
+        "print(json.dumps([codes, loaded + [scipy_modules()]]))\n"
     )
     src = os.path.dirname(os.path.dirname(mvtrace.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
+    done = subprocess.run([sys.executable, "-c", script, str(gen), str(cfg)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    code, after_import, after_run = json.loads(done.stdout.splitlines()[-1])
-    assert code == 0 and (tmp_path / "o" / "summary.csv").exists()
+    codes, (after_import, after_generate, after_run) = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0] and (tmp_path / "o" / "summary.csv").exists()
     assert "scipy.sparse" in after_import
     for name in UNUSED_SCIPY:
-        assert name not in after_import and name not in after_run, name
+        for loaded in (after_import, after_generate, after_run):
+            assert name not in loaded, name
 
 
 class TestGenerate:
@@ -165,6 +171,15 @@ class TestGenerate:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError",
                        "message": f"invalid generate config: {field} must be finite, got {shown}"}
+        assert not out.exists()
+
+    def test_negative_smoothing_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        cfg = write_config(tmp_path, "gen.json", {**SMALL_GENERATE, "smoothing": -1, "out": str(out)})
+        assert main(["generate", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError",
+                       "message": "invalid generate config: smoothing must be >= 0, got -1"}
         assert not out.exists()
 
     def test_manifest_records_resolved_config(self, dataset_dir, tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mvtrace import synth
 from mvtrace.data import scores_array
-from mvtrace.mesh import build_laplacian, quadratic_form
+from mvtrace.mesh import GraphLaplacian, build_laplacian, quadratic_form
 
 
 class TestMeshSpec:
@@ -32,9 +33,59 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="cluster_coherence"):
             synth.GeneratorConfig(cluster_coherence=1.0)
 
+    def test_negative_smoothing_rejected(self):
+        with pytest.raises(ValueError, match="smoothing must be >= 0, got -1"):
+            synth.GeneratorConfig(smoothing=-1)
+        assert synth.GeneratorConfig(smoothing=0.0).smoothing == 0.0
+
     def test_scalar_view_noise_broadcast(self):
         cfg = synth.GeneratorConfig(view_noise_sigma=0.7)
         assert cfg.view_noise_sigma == (0.7, 0.7)
+
+
+class TestBlockSmoothing:
+    """The block solve against scipy's per-column cg, the reference it replaces."""
+
+    @pytest.mark.parametrize("spec,lam", [("icosphere-1", 1.0), ("grid-9x11", 4.0)])
+    def test_matches_per_column_cg_bit_for_bit(self, spec, lam):
+        from scipy.sparse.linalg import cg
+
+        laplacian = build_laplacian(synth.make_mesh(spec))
+        m = laplacian.dimension
+        rng = np.random.default_rng(5)
+        white = rng.standard_normal((m, 6)) * np.array([1e-150, 1e-6, 1.0, 1.0, 1e8, 1e150])
+        # cg needs about one iteration per distinct Laplacian eigenvalue in b
+        eigenvalues, modes = np.linalg.eigh(laplacian.matrix.toarray())
+        distinct = modes[:, np.unique(eigenvalues.round(8), return_index=True)[1]]
+        # a zero column, a constant one (the 0-eigenvector), mixes of 2 and 3
+        # modes, and white ones over 300 decades of scale
+        columns = np.column_stack([np.zeros(m), np.full(m, -2.5), distinct[:, 1:3].sum(1),
+                                   1e3 * distinct[:, 2:5].sum(1), white])
+        operator = sparse.identity(m, format="csr") + lam * laplacian.matrix
+
+        block = synth._smooth_columns(laplacian, columns, lam)
+
+        iterations = []
+        for j in range(columns.shape[1]):
+            count = []
+            reference, info = cg(operator, columns[:, j], rtol=1e-8, atol=0.0,
+                                 callback=count.append)
+            assert info == 0
+            assert block[:, j].tobytes() == reference.tobytes(), j
+            iterations.append(len(count))
+        # columns leave the block at several different iterations
+        assert iterations[0] == 0 and len(set(iterations)) >= 4, iterations
+        assert block.flags.c_contiguous and block.shape == columns.shape
+
+    def test_unconverged_column_raises(self):
+        # I - diag(0, 0, 1) is singular: a right-hand side with a third
+        # entry has no solution, and cg stops at 10*m iterations
+        laplacian = GraphLaplacian(sparse.csr_matrix(np.diag([0.0, 0.0, 1.0])),
+                                   np.empty((0, 2)), np.zeros(3))
+        columns = np.array([[2.0, 1.0], [-1.0, 1.0], [0.0, 1.0]])
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(RuntimeError, match="1 of 2 columns after 30 iterations"):
+            synth._smooth_columns(laplacian, columns, -1.0)
 
 
 @pytest.fixture(scope="module")

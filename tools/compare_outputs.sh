@@ -14,7 +14,10 @@
 # output, and those are compared again (one more report line per output).
 # Then each side runs the mdae_cv run twice more, once with --jobs 2 (fold
 # worker processes) and once with two BLAS threads, and each pair is compared
-# the same way (one report line each).
+# the same way (one report line each).  Last, each side generates four more
+# cohorts at the same seed, on generator branches that no workload reaches
+# (rest-view nuisance on, cluster_coherence 0, a grid mesh, one subject), and
+# those are compared too (one report line each).
 # Prints "DIFF <file>" for a file whose bytes differ, "FILESET <dir>" for a
 # directory whose file lists differ and "FAIL <dir>" for a command that exited
 # nonzero; every generated cohort file is compared except its manifest.json.
@@ -109,6 +112,23 @@ for name, wl in workloads.WORKLOADS.items():
             done
             compare "$d/$leg-P" "$d/$leg-C"
             echo "mdae_cv seed $s run $leg: $(ls "$d/$leg-P" | wc -l) files"
+        done
+        for branch in nuisance coherence0 grid one_subject; do
+            case $branch in
+                nuisance) fields='"rest_nuisance_dim": 3, "rest_nuisance_scale": 3' ;;
+                coherence0) fields='"cluster_coherence": 0' ;;
+                grid) fields='"mesh": "grid-9x11"' ;;
+                one_subject) fields='"n_subjects": 1' ;;
+            esac
+            d=$W/generate-$branch-$s
+            mkdir "$d"
+            echo "{$fields, \"seed\": $s}" > "$d/generate.json"
+            for side in P C; do
+                mvtrace "${!side}" generate --config "$d/generate.json" --out "$d/cohort-$side" \
+                    >/dev/null || exit 1
+            done
+            compare "$d/cohort-P" "$d/cohort-C" manifest.json
+            echo "generate $branch seed $s: $(ls "$d/cohort-P" | wc -l) files"
         done
     done
 }
