@@ -498,6 +498,11 @@ class PcaSpec:
 
     enc: int
 
+    def __post_init__(self):
+        # an enc above the feature count needs the data: fit_pca checks it
+        if self.enc < 1:
+            raise ValueError(f"enc must be >= 1, got {self.enc!r}")
+
     def fit(self, subjects: list[SubjectRecord], seed: int) -> PcaRepresentation:
         x_task, x_rest = stack_views(subjects)
         x = np.concatenate([x_task, x_rest], axis=1)

@@ -35,6 +35,7 @@ from pathlib import Path
 
 from . import __version__, evaluation, io, synth
 from .autoencoders import (
+    DEFAULT_HIDDEN,
     ArchitectureConfig,
     AutoencoderSpec,
     PcaSpec,
@@ -217,8 +218,6 @@ def _build_spec(cfg: dict):
             return RawSpec()
         hidden = cfg.get("hidden_dims")
         if hidden is None:
-            from .autoencoders import DEFAULT_HIDDEN
-
             hidden = DEFAULT_HIDDEN[arch]
         config = ArchitectureConfig(
             kind=arch,
@@ -283,6 +282,8 @@ def _check_numbers(cfg: dict) -> None:
             raise ConfigError(f"{name} must be a number, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
+    if integers["cv.folds"] < 2:
+        raise ConfigError(f"cv.folds must be at least 2, got {integers['cv.folds']}")
     jobs = cfg["jobs"]
     if not is_int(jobs) or jobs < 1:
         raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")

@@ -1,9 +1,12 @@
 """Cross-validation harness, metrics, and weight-map significance.
 
-Fold hygiene is strict: for every fold the representation model is fit on
-the training subjects' vertex samples only, then frozen and used to encode
-everyone; the trace regression is fit on the training fold's latents and
-scored on the held-out subjects.  Nothing fitted ever sees a test subject.
+Fold hygiene is the boundary between a fold's two stages.  The score-blind
+``fold_latents`` fits the representation on the training subjects' vertex
+samples only, then freezes it and z-scores the training latents with
+training statistics; it reads no score.  The score-reading ``solve_fold``
+fits the trace regression on the training scores and scores the held-out
+subjects, encoded by the frozen model with the same statistics.  Nothing
+fitted ever sees a test subject, and ``run_fold`` is the two in turn.
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ class CvPlan:
 
 
 def make_folds(n: int, k: int, seed: int) -> CvPlan:
-    """Random disjoint folds covering all n subjects, sizes differing by <= 1."""
-    if k < 1 or k > n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    """Random disjoint folds covering all n subjects, sizes differing by <= 1.
+    At least two folds, so that every fold has training subjects."""
+    if k < 2 or k > n:
+        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     order = np.random.default_rng(seed).permutation(n)
     folds = [np.sort(chunk) for chunk in np.array_split(order, k)]
     return CvPlan(n_subjects=n, n_folds=k, folds=folds)
@@ -129,26 +133,65 @@ def _stderr(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
 
 
-def run_fold(
+def fold_latents(
+    subjects: list[SubjectRecord],
+    spec,
+    train_idx: np.ndarray,
+    fit_seed: int,
+    standardize_latents: bool = True,
+):
+    """The score-blind stage of a fold: fit ``spec`` on the training
+    subjects, encode them and, with ``standardize_latents`` (default),
+    z-score every latent column with the training-fold statistics.  No
+    score is read.
+
+    Returns ``(train, encode)``: the (n_train, m, d) training stack in
+    ``train_idx`` order, and ``encode(subjects, rows)``, the (n, len(rows),
+    d) stack of other subjects' latents on vertex ``rows``, z-scored with
+    the same statistics.
+
+    Autoencoder codes have an arbitrary per-column scale (a rescaled code
+    with an inversely rescaled decoder reconstructs identically), so without
+    the z-scoring the penalty weights would not be comparable across
+    representations.
+    """
+    train_subjects = [subjects[i] for i in train_idx]
+    model = spec.fit(train_subjects, int(fit_seed))
+    train = np.stack([model.encode_subject(s) for s in train_subjects])
+    if standardize_latents:
+        center = train.mean(axis=(0, 1))
+        train -= center  # in place: the stack is a fresh array
+        # each column's population std, without a stack-sized temporary
+        scale = np.sqrt(np.einsum("ijk,ijk->k", train, train)
+                        / (train.shape[0] * train.shape[1]))
+        scale = np.where(scale < 1e-12, 1.0, scale)
+        train /= scale
+
+    def encode(others: list[SubjectRecord], rows: np.ndarray) -> np.ndarray:
+        latents = np.stack([model.encode_subject(s)[rows] for s in others])
+        if standardize_latents:
+            latents -= center
+            latents /= scale
+        return latents
+
+    return train, encode
+
+
+def solve_fold(
+    latents,
     subjects: list[SubjectRecord],
     laplacian,
-    spec,
     penalties: list[tuple[RegularizationConfig, FistaConfig]],
     train_idx: np.ndarray,
     test_idx: np.ndarray,
     fold_id: int,
-    fit_seed: int,
-    standardize_latents: bool = True,
 ) -> list[FoldResult]:
-    """Fit the representation on the training split once, then fit and score
-    the regression (smoothed by the GraphLaplacian ``laplacian``) once per
-    (reg, fista) pair of ``penalties``; the FoldResults come in pair order.
-
-    With ``standardize_latents`` (default) every latent column is z-scored
-    using training-fold statistics before the regression.  Autoencoder codes
-    have an arbitrary per-column scale (a rescaled code with an inversely
-    rescaled decoder reconstructs identically), so without this the penalty
-    weights would not be comparable across representations.
+    """The score-reading stage of a fold: fit the regression (smoothed by
+    the GraphLaplacian ``laplacian``) on the training scores once per
+    (reg, fista) pair of ``penalties``, then score the test subjects; the
+    FoldResults come in pair order.  ``latents`` is ``fold_latents``'s
+    output for ``train_idx`` and is left unchanged, so it can be solved
+    again on other scores.
 
     The pairs are solved as a warm-started path, from the largest alpha to
     the smallest (a stable sort, so equal alphas keep list order), each fit
@@ -157,20 +200,10 @@ def run_fold(
     """
     if not penalties:
         raise ValueError("empty penalty list")
-    train_subjects = [subjects[i] for i in train_idx]
-    model = spec.fit(train_subjects, int(fit_seed))
-    train_latents = np.stack([model.encode_subject(s) for s in train_subjects])
-    if standardize_latents:
-        center = train_latents.mean(axis=(0, 1))
-        train_latents -= center  # in place: the stack is a fresh array
-        # each column's population std, without a stack-sized temporary
-        scale = np.sqrt(np.einsum("ijk,ijk->k", train_latents, train_latents)
-                        / (train_latents.shape[0] * train_latents.shape[1]))
-        scale = np.where(scale < 1e-12, 1.0, scale)
-        train_latents /= scale
+    train, encode = latents
     dataset = RegressionDataset(
-        latents=train_latents,
-        scores=scores_array(train_subjects),
+        latents=train,
+        scores=scores_array([subjects[i] for i in train_idx]),
         laplacian=laplacian.matrix,
     )
     fits = [None] * len(penalties)
@@ -183,10 +216,7 @@ def run_fold(
     # predictions do not depend on the other penalties of the fold
     supports = [np.flatnonzero(fit.beta.any(axis=1)) for fit in fits]
     kept = np.unique(np.concatenate(supports))
-    test_latents = np.stack([model.encode_subject(subjects[i])[kept] for i in test_idx])
-    if standardize_latents:
-        test_latents -= center
-        test_latents /= scale
+    test_latents = encode([subjects[i] for i in test_idx], kept)
     y_true = np.array([subjects[i].score for i in test_idx])
     results = []
     for fit, support in zip(fits, supports):
@@ -206,6 +236,25 @@ def run_fold(
     return results
 
 
+def run_fold(
+    subjects: list[SubjectRecord],
+    laplacian,
+    spec,
+    penalties: list[tuple[RegularizationConfig, FistaConfig]],
+    train_idx: np.ndarray,
+    test_idx: np.ndarray,
+    fold_id: int,
+    fit_seed: int,
+    standardize_latents: bool = True,
+) -> list[FoldResult]:
+    """One fold: ``fold_latents`` on the training split, then ``solve_fold``
+    for every (reg, fista) pair of ``penalties``, in pair order."""
+    if not penalties:
+        raise ValueError("empty penalty list")  # before the fit
+    latents = fold_latents(subjects, spec, train_idx, fit_seed, standardize_latents)
+    return solve_fold(latents, subjects, laplacian, penalties, train_idx, test_idx, fold_id)
+
+
 def _defined_r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float | None:
     """R², or None on a one-subject test fold or constant scores."""
     try:
@@ -214,8 +263,21 @@ def _defined_r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float | None:
         return None
 
 
-def _run_fold_payload(args):
-    return run_fold(*args)
+# a fold worker's (subjects, laplacian, spec, penalties, standardize_latents),
+# set once per worker process by the pool's initializer
+_worker_inputs = None
+
+
+def _set_worker_inputs(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_fold(task):
+    """run_fold on a worker's inputs; ``task`` is (train_idx, test_idx,
+    fold_id, fit_seed)."""
+    subjects, laplacian, spec, penalties, standardize_latents = _worker_inputs
+    return run_fold(subjects, laplacian, spec, penalties, *task, standardize_latents)
 
 
 def run_cv(
@@ -239,21 +301,19 @@ def run_cv(
     if not penalties:
         raise ValueError("empty penalty list")
     fold_seeds = np.random.SeedSequence(seed).generate_state(plan.n_folds)
-    payloads = [
-        (
-            subjects, laplacian, spec, penalties,
-            plan.train_indices(f), plan.test_indices(f), f, int(fold_seeds[f]),
-            standardize_latents,
-        )
-        for f in range(plan.n_folds)
-    ]
+    tasks = [(plan.train_indices(f), plan.test_indices(f), f, int(fold_seeds[f]))
+             for f in range(plan.n_folds)]
     # a pool forks all its workers up front: never more than there are folds
     workers = min(jobs, plan.n_folds)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            folds = list(pool.map(_run_fold_payload, payloads))
+        # the cohort goes to each worker once; a task is only its fold's indices
+        inputs = (subjects, laplacian, spec, penalties, standardize_latents)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_inputs,
+                                 initargs=inputs) as pool:
+            folds = list(pool.map(_worker_fold, tasks))
     else:
-        folds = [_run_fold_payload(p) for p in payloads]
+        folds = [run_fold(subjects, laplacian, spec, penalties, *task, standardize_latents)
+                 for task in tasks]
     return [CvResult.from_folds([fold[p] for fold in folds])
             for p in range(len(penalties))]
 

@@ -506,9 +506,17 @@ class TestRun:
          "invalid autoencoder config: learning_rate must be > 0, got -5.0"),
         ({"arch": "raw", "batch_size": 0},
          "invalid autoencoder config: batch_size must be >= 1, got 0"),
+        # one fold leaves no training subject; every arch failed inside fold 0
+        ({"cv": {"folds": 1}}, "cv.folds must be at least 2, got 1"),
+        ({"arch": "raw", "cv": {"folds": 1}}, "cv.folds must be at least 2, got 1"),
+        ({"arch": "mdae", "cv": {"folds": 0}}, "cv.folds must be at least 2, got 0"),
+        ({"enc": 0}, "invalid autoencoder config: enc must be >= 1, got 0"),
+        ({"enc": -2}, "invalid autoencoder config: enc must be >= 1, got -2"),
     ])
     def test_numeric_field_of_wrong_type_rejected(self, dataset_dir, tmp_path, capsys,
-                                                  folds_run, override, message):
+                                                  monkeypatch, folds_run, override, message):
+        loads = []
+        monkeypatch.setattr("mvtrace.cli.load_dataset", lambda *a: loads.append(a))
         out = tmp_path / "o"
         cfg = write_config(
             tmp_path, "run.json",
@@ -517,15 +525,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError", "message": message}
-        assert folds_run == [] and not out.exists()
+        assert loads == [] and folds_run == [] and not out.exists()
 
     def test_jobs_capped_at_fold_count(self, dataset_dir, tmp_path, monkeypatch):
         # a stand-in pool that records its size and starts no process
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -537,6 +546,7 @@ class TestRun:
                 return map(fn, items)
 
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(evaluation, "_worker_inputs", None)  # restored after the test
         outs = {}
         for jobs in (500, 1):
             outs[jobs] = tmp_path / f"jobs{jobs}"

@@ -42,6 +42,12 @@ class TestFolds:
         with pytest.raises(ValueError):
             ev.make_folds(3, 5, seed=0)
 
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_fewer_than_two_folds_rejected(self, k):
+        # one fold would leave no training subject
+        with pytest.raises(ValueError, match="need 2 <= k <= n"):
+            ev.make_folds(12, k, seed=0)
+
     @pytest.mark.parametrize("n,k", [(11, 3), (40, 10), (7, 7), (25, 4)])
     def test_partition_properties(self, n, k):
         plan = ev.make_folds(n, k, seed=2)
@@ -227,6 +233,94 @@ class TestRunCv:
                 assert np.array_equal(layer_a.bias, layer_b.bias)
                 assert layer_a.activation == layer_b.activation
         assert np.array_equal(beta_a, beta_b)
+
+
+def same_fold_results(a: list[ev.FoldResult], b: list[ev.FoldResult]) -> bool:
+    return len(a) == len(b) and all(
+        x.beta.tobytes() == y.beta.tobytes() and x.objectives.tobytes() == y.objectives.tobytes()
+        and (x.fold_id, x.mse, x.r2, x.predictions, x.converged)
+        == (y.fold_id, y.mse, y.r2, y.predictions, y.converged)
+        for x, y in zip(a, b))
+
+
+class TestFoldStages:
+    """A fold is the score-blind fold_latents, then the score-reading solve_fold."""
+
+    PENALTIES = [(RegularizationConfig(alpha=12, eta=20), FISTA),
+                 (RegularizationConfig(alpha=4, eta=10), FISTA)]
+    SPECS = {
+        "pca": PcaSpec(enc=4),
+        "mdae": AutoencoderSpec(config=ArchitectureConfig(kind="mdae", enc=4, hidden_dims=()),
+                                epochs=2, batch_size=500, learning_rate=1e-3),
+    }
+
+    @pytest.mark.parametrize("arch", sorted(SPECS))
+    def test_fold_latents_reads_no_score(self, planted, arch):
+        subjects, _, _ = planted
+        plan = ev.make_folds(40, 4, seed=3)
+        train_idx, test_idx = plan.train_indices(2), plan.test_indices(2)
+        rows = np.array([0, 5, 17, 100])
+        scores = [s.score for s in subjects]
+        cohorts = [
+            subjects,
+            [replace(s, score=np.nan) for s in subjects],
+            [replace(s, score=v) for s, v in
+             zip(subjects, np.random.default_rng(4).permutation(scores))],
+        ]
+        outputs = []
+        for cohort in cohorts:
+            train, encode = ev.fold_latents(cohort, self.SPECS[arch], train_idx, fit_seed=8)
+            outputs.append((train.tobytes(),
+                            encode([cohort[i] for i in test_idx], rows).tobytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_solve_fold_repeats_and_leaves_latents_unchanged(self, planted):
+        subjects, lap, _ = planted
+        plan = ev.make_folds(40, 4, seed=3)
+        train_idx, test_idx = plan.train_indices(1), plan.test_indices(1)
+        latents = ev.fold_latents(subjects, PcaSpec(enc=4), train_idx, fit_seed=8)
+        train = latents[0].copy()
+        first = ev.solve_fold(latents, subjects, lap, self.PENALTIES, train_idx, test_idx, 1)
+        second = ev.solve_fold(latents, subjects, lap, self.PENALTIES, train_idx, test_idx, 1)
+        assert same_fold_results(first, second)
+        assert latents[0].tobytes() == train.tobytes()
+        composed = ev.run_fold(subjects, lap, PcaSpec(enc=4), self.PENALTIES, train_idx,
+                               test_idx, 1, 8)
+        assert same_fold_results(first, composed)
+
+    def test_pool_gets_the_cohort_once(self, planted, monkeypatch):
+        # a stand-in pool that runs its initializer and tasks in this process
+        subjects, lap, _ = planted
+        plan = ev.make_folds(40, 5, seed=6)
+        inits, tasks = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                inits.append(initargs)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                tasks.extend(items)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(ev, "_worker_inputs", None)  # restored after the test
+        pooled = ev.run_cv(subjects, lap, PcaSpec(enc=4), self.PENALTIES, plan, seed=6, jobs=3)
+        [initargs] = inits
+        assert initargs[0] is subjects and initargs[1] is lap
+        assert len(tasks) == plan.n_folds
+        for task in tasks:
+            assert all(isinstance(x, (int, np.ndarray)) for x in task)
+            assert all(x.dtype.kind == "i" for x in task if isinstance(x, np.ndarray))
+        serial = ev.run_cv(subjects, lap, PcaSpec(enc=4), self.PENALTIES, plan, seed=6)
+        for a, b in zip(pooled, serial):
+            assert same_fold_results(a.folds, b.folds)
 
 
 class TestSignificance:

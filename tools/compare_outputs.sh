@@ -13,8 +13,9 @@
 # rewrites its significance files with "mvtrace map --results" on its own
 # output, and those are compared again (one more report line per output).
 # Then each side runs the mdae_cv run twice more, once with --jobs 2 (fold
-# worker processes) and once with two BLAS threads, and each pair is compared
-# the same way (one report line each).  Last, each side generates four more
+# worker processes) and once with two BLAS threads, and the raw_alpha_path
+# sweep once more with --jobs 2 (a penalty path in each worker), and each pair
+# is compared the same way (one report line each).  Last, each side generates four more
 # cohorts at the same seed, on generator branches that no workload reaches
 # (rest-view nuisance on, cluster_coherence 0, a grid mesh, one subject), and
 # those are compared too (one report line each).
@@ -113,6 +114,16 @@ for name, wl in workloads.WORKLOADS.items():
             compare "$d/$leg-P" "$d/$leg-C"
             echo "mdae_cv seed $s run $leg: $(ls "$d/$leg-P" | wc -l) files"
         done
+        d=$W/raw_alpha_path-$s
+        for side in P C; do
+            rm -rf "$W/out"
+            mvtrace "${!side}" sweep --config "$d/sweep.json" --out "$W/out" --jobs 2 \
+                >/dev/null 2>&1 || echo "FAIL $d/jobs2-$side"
+            mkdir -p "$W/out"
+            mv "$W/out" "$d/jobs2-$side"
+        done
+        compare "$d/jobs2-P" "$d/jobs2-C"
+        echo "raw_alpha_path seed $s sweep jobs2: $(ls "$d/jobs2-P" | wc -l) files"
         for branch in nuisance coherence0 grid one_subject; do
             case $branch in
                 nuisance) fields='"rest_nuisance_dim": 3, "rest_nuisance_scale": 3' ;;
