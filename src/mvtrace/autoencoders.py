@@ -19,27 +19,36 @@ subject-encoding interface so the evaluation harness can swap them freely.
 Inputs are standardized per feature on the training data; sigmoid-output
 variants additionally min-max map the reconstruction targets to [0, 1].
 
+A fit holds its training samples once.  Each block's (N, width) input is
+one C-contiguous array that the fit owns, filled straight from the
+subjects' (or the caller's) views and then standardized in place
+(``FeatureScaler.standardize``); the caller's arrays are never modified,
+and no per-view stack or concatenated copy is made beside it.  A sigmoid
+kind's min-max targets are one more array; otherwise the targets are the
+inputs.  ``PcaSpec`` fills and standardizes its one concatenated matrix the
+same way.
+
 ``train_autoencoder`` keeps a step down to its GEMMs, with the bits of the
 plain loop: every parameter lives in one flat buffer (``nn.share_buffers``)
-that a single Adam call updates; each epoch gathers its shuffled rows once
-into buffers allocated per fit, and a batch is a row slice of them; without
-a min-max map the targets are the inputs, gathered once; and the gradient
-w.r.t. the model's inputs is never formed.
+that a single Adam call updates; each batch gathers its rows of the epoch's
+permutation from the block inputs (and targets) into batch-sized buffers;
+and the gradient w.r.t. the model's inputs is never formed.
 
 A step allocates no batch-sized array.  The calling thread allocates, before
-the first epoch and for the largest batch, each block's layer outputs, two
-input-gradient buffers and a relu mask, each decoder's loss difference, the
-code and its gradient, and Adam's scratch; the short last batch uses their
-leading rows.  The blocks meet only where their codes are concatenated and
-where the decoders' code gradients are summed, so each block's networks run
-on a thread of their own, in three fork/join phases per step: encoder
-forward; decoder forward, loss and backward; encoder backward.  The caller
-forms the code and its gradient between the phases, in block order, and
-runs Adam.  The caller runs the first block itself and a thread pool the
-others, so a fit uses one thread per block, at most one per usable CPU; the
-pool lives for one fit.  One block runs inline, and so does a fold worker
-of a process pool, whose sibling processes already fill the CPUs.  No
-element's arithmetic depends on the threads.
+the first epoch and for the largest batch, each block's batch buffers,
+layer outputs, two input-gradient buffers and a relu mask, each decoder's
+loss difference, the code and its gradient, and Adam's scratch; the short
+last batch uses their leading rows.  The blocks meet only where their codes
+are concatenated and where the decoders' code gradients are summed, so each
+block's networks run on a thread of their own, in three fork/join phases
+per step: gather and encoder forward; decoder forward, loss and backward;
+encoder backward.  The caller forms the code and its gradient between the
+phases, in block order, and runs Adam.  The caller runs the first block
+itself and a thread pool the others, so a fit uses one thread per block, at
+most one per usable CPU; the pool lives for one fit.  One block runs
+inline, and so does a fold worker of a process pool, whose sibling
+processes already fill the CPUs.  No element's arithmetic depends on the
+threads.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from typing import Mapping
 import numpy as np
 
 from . import nn
-from .data import SubjectRecord, stack_views
+from .data import SubjectRecord
 from .pca import PcaModel, fit_pca, pca_encode
 
 KINDS = ("monomodal-task", "monomodal-rest", "concat-ae", "mdae")
@@ -157,19 +166,33 @@ class FeatureScaler:
     minmax_span: np.ndarray | None = None
 
     @classmethod
-    def fit(cls, data: np.ndarray, *, minmax: bool = False) -> "FeatureScaler":
-        data = np.asarray(data, dtype=np.float64)
+    def standardize(cls, data: np.ndarray, *,
+                    minmax: bool = False) -> tuple["FeatureScaler", np.ndarray]:
+        """Fit a scaler on ``data``, a 2-D float64 array that the caller owns,
+        and standardize ``data`` in place, with the rounding of
+        ``(data - mean) / std``.
+
+        Returns ``(scaler, targets)``: the reconstruction targets are
+        ``data`` itself, or with ``minmax`` one new array of the standardized
+        features min-max mapped to [0, 1].  Beside ``data``, only the
+        deviations that ``np.std`` forms are data-sized, and they are freed
+        before the function returns.
+        """
         mean = data.mean(axis=0)
         std = data.std(axis=0)
         std = np.where(std < 1e-12, 1.0, std)
         scaler = cls(mean=mean, std=std)
-        if minmax:
-            standardized = (data - mean) / std
-            low = standardized.min(axis=0)
-            span = standardized.max(axis=0) - low
-            scaler.minmax_low = low
-            scaler.minmax_span = np.where(span < 1e-12, 1.0, span)
-        return scaler
+        np.subtract(data, mean, out=data)
+        np.divide(data, std, out=data)
+        if not minmax:
+            return scaler, data
+        low = data.min(axis=0)
+        span = data.max(axis=0) - low
+        scaler.minmax_low = low
+        scaler.minmax_span = np.where(span < 1e-12, 1.0, span)
+        targets = np.subtract(data, low)
+        targets /= scaler.minmax_span
+        return scaler, targets
 
     def transform(self, data: np.ndarray) -> np.ndarray:
         return (np.asarray(data, dtype=np.float64) - self.mean) / self.std
@@ -203,6 +226,32 @@ def _columns(x_task: np.ndarray, x_rest: np.ndarray, cols: slice) -> np.ndarray:
     return np.concatenate(
         [x_task[..., cols.start:], x_rest[..., :cols.stop - d_task]], axis=-1
     )
+
+
+def _block_samples(views, blocks: list[slice]) -> list[np.ndarray]:
+    """Each block's samples: columns ``cols`` of ``[x_task | x_rest]`` of
+    every (x_task, x_rest) pair of 2-D ``views``, stacked in order into one
+    new C-contiguous (N, width) array per block of ``blocks``.  Raises on
+    N = 0."""
+    n = sum(len(x_task) for x_task, _ in views)
+    if n == 0:
+        raise ValueError("empty training data")
+    samples = [np.empty((n, cols.stop - cols.start)) for cols in blocks]
+    start = 0
+    for x_task, x_rest in views:
+        stop = start + len(x_task)
+        for x, cols in zip(samples, blocks):
+            offset = 0
+            for view in (x_task, x_rest):
+                # the part of this view that the block reads, at its place
+                low = max(cols.start, offset)
+                high = min(cols.stop, offset + view.shape[1])
+                if low < high:
+                    x[start:stop, low - cols.start:high - cols.start] = \
+                        view[:, low - offset:high - offset]
+                offset += view.shape[1]
+        start = stop
+    return samples
 
 
 class Autoencoder(_SubjectEncoderMixin):
@@ -251,8 +300,6 @@ def _sample_arrays(data) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("training views must be 2-D (samples x features)")
     if x_task.shape[0] != x_rest.shape[0]:
         raise ValueError("views disagree on sample count")
-    if x_task.shape[0] == 0:
-        raise ValueError("empty training data")
     return x_task, x_rest
 
 
@@ -268,25 +315,32 @@ def train_autoencoder(
     """Adam-train the autoencoder ``config`` on the sum of its per-decoder
     reconstruction MSEs.
 
-    ``data`` is a pair of (N, d_task)/(N, d_rest) arrays.  Each block's
-    scaler is fit on that block's columns alone.  ``default_rng(seed)`` draws
-    the encoder layers in block order, then the decoder layers, then the
-    seed of the per-epoch shuffle, so for a fixed BLAS thread count the
-    result is a pure function of (data, config, seed, epochs, batch_size,
-    learning_rate).
+    ``data`` is a pair of (N, d_task)/(N, d_rest) arrays, which the fit
+    copies and never modifies.  Each block's columns are copied once into
+    an array the fit owns, and standardized there in place by a scaler fit
+    on that block's columns alone.  Each batch gathers its rows of the
+    epoch's permutation from those arrays into batch-sized buffers.
+    ``default_rng(seed)`` draws the encoder layers in block order, then the
+    decoder layers, then the seed of the per-epoch shuffle, so for a fixed
+    BLAS thread count the result is a pure function of (data, config, seed,
+    epochs, batch_size, learning_rate).
     """
     x_task, x_rest = _sample_arrays(data)
+    view = ViewSpec(d_task=x_task.shape[1], d_rest=x_rest.shape[1])
+    return _fit([(x_task, x_rest)], view, config, seed, epochs, batch_size, learning_rate)
+
+
+def _fit(views, view, config, seed, epochs, batch_size, learning_rate) -> Autoencoder:
+    """``train_autoencoder`` on the samples of every (x_task, x_rest) pair
+    of ``views`` in turn: 2-D float64 arrays of the widths of ``view``."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    view = ViewSpec(d_task=x_task.shape[1], d_rest=x_rest.shape[1])
     blocks = config.blocks(view)
     minmax = config.output_activation == "sigmoid"
-    columns = [_columns(x_task, x_rest, cols) for cols, _ in blocks]
-    scalers = [FeatureScaler.fit(x, minmax=minmax) for x in columns]
-    inputs = [s.transform(x) for s, x in zip(scalers, columns)]
-    # without a min-max map the targets are the inputs themselves
-    targets = [s.target(x) for s, x in zip(scalers, columns)] if minmax else inputs
-    del columns  # a block over both views holds a concatenated copy
+    inputs = _block_samples(views, [cols for cols, _ in blocks])
+    # one block at a time, so one scaler's deviations exist at once; without
+    # a min-max map the targets are the inputs themselves
+    scalers, targets = zip(*(FeatureScaler.standardize(x, minmax=minmax) for x in inputs))
 
     rng = np.random.default_rng(seed)
     hidden = list(config.hidden_dims)
@@ -304,22 +358,19 @@ def train_autoencoder(
     params, grads, net_grads = nn.share_buffers(encoders + decoders)
     state = nn.AdamState.for_parameters(params, learning_rate)
     ends = list(itertools.accumulate(width for _, width in blocks))
-    n = x_task.shape[0]
+    n = len(inputs[0])
     rows = min(batch_size, n)
     # every buffer of a step is allocated here, by the calling thread, for
     # the largest batch; the short last batch uses their leading rows
     block_nets = [
-        _BlockNets(encoder, decoder, slice(end - width, end), enc_grads, dec_grads, rows)
-        for encoder, decoder, (_, width), end, enc_grads, dec_grads in zip(
-            encoders, decoders, blocks, ends, net_grads[:len(blocks)], net_grads[len(blocks):])
+        _BlockNets(encoder, decoder, slice(end - width, end), enc_grads, dec_grads,
+                   x, target, rows)
+        for encoder, decoder, (_, width), end, enc_grads, dec_grads, x, target in zip(
+            encoders, decoders, blocks, ends, net_grads[:len(blocks)], net_grads[len(blocks):],
+            inputs, targets)
     ]
     z, dz = np.empty((rows, config.enc)), np.empty((rows, config.enc))
     shuffle_rng = np.random.default_rng(int(rng.integers(2**31)))
-    # each epoch gathers its shuffled rows once, into buffers allocated here
-    # (one set when the targets are the inputs); batches are row slices
-    sources = inputs + targets if minmax else inputs
-    shuffled = [np.empty_like(x) for x in sources]
-    shuffled_inputs, shuffled_targets = shuffled[:len(inputs)], shuffled[-len(inputs):]
     epoch_losses: list[tuple[float, ...]] = []
     threads = _block_threads(len(block_nets))
     # the calling thread runs the first block, the pool's threads the others
@@ -327,16 +378,11 @@ def train_autoencoder(
     try:
         for _ in range(epochs):
             order = shuffle_rng.permutation(n)
-            for x, buffer in zip(sources, shuffled):
-                # "clip" never clips a permutation, and unlike "raise" it writes
-                # straight into the buffer
-                np.take(x, order, axis=0, out=buffer, mode="clip")
             totals = [0.0] * (len(blocks) + 1)
             for start in range(0, n, batch_size):
-                batch = slice(start, start + batch_size)
-                size = min(batch_size, n - start)
-                losses = _step(block_nets, pool, [x[batch] for x in shuffled_inputs],
-                               [t[batch] for t in shuffled_targets], z[:size], dz[:size])
+                batch = order[start:start + batch_size]
+                size = len(batch)
+                losses = _step(block_nets, pool, batch, z[:size], dz[:size])
                 nn.adam_step(state, params, grads)
                 for i, loss in enumerate([sum(losses), *losses]):
                     totals[i] += loss * size
@@ -359,34 +405,48 @@ def _block_threads(blocks: int) -> int:
 
 
 class _BlockNets:
-    """One encoder block's encoder and decoder, their gradient views, and
-    the output buffers and backward scratch of their passes over batches of
-    up to ``rows`` rows.  The blocks of a step share only the code and its
-    gradient, which the caller forms, so each block's passes can run on a
-    thread of their own."""
+    """One encoder block's encoder and decoder, their gradient views, its
+    standardized ``inputs`` and reconstruction ``targets`` (the same array
+    without a min-max map), and the batch buffers, output buffers and
+    backward scratch of their passes over batches of up to ``rows`` rows.
+    The blocks of a step share only the code and its gradient, which the
+    caller forms, so each block's passes can run on a thread of their own."""
 
-    def __init__(self, encoder, decoder, code_cols, enc_grads, dec_grads, rows):
+    def __init__(self, encoder, decoder, code_cols, enc_grads, dec_grads, inputs, targets,
+                 rows):
         self.encoder, self.decoder = encoder, decoder
         self.code_cols = code_cols
         self.enc_grads, self.dec_grads = enc_grads, dec_grads
+        self.inputs, self.targets = inputs, targets
+        self.batch_inputs = np.empty((rows, inputs.shape[1]))
+        self.batch_targets = (self.batch_inputs if targets is inputs
+                              else np.empty((rows, targets.shape[1])))
         self.enc_outputs = encoder.output_buffers(rows)
         self.dec_outputs = decoder.output_buffers(rows)
         self.diff = np.empty((rows, decoder.output_dim))
         self.scratch = nn.backward_scratch([encoder, decoder], rows)
         self.enc_cache = None
 
-    def encode(self, x):
-        """The batch's code; the encoder's cache stays for ``backward_encoder``."""
+    def encode(self, batch):
+        """Gather the sample rows ``batch`` of the inputs (and of the targets,
+        when they differ) into the batch buffers, and return their code; the
+        encoder's cache stays for ``backward_encoder``."""
+        # "clip" never clips a valid row, and unlike "raise" it writes
+        # straight into the buffer
+        x = np.take(self.inputs, batch, axis=0, out=self.batch_inputs[:len(batch)], mode="clip")
+        if self.batch_targets is not self.batch_inputs:
+            np.take(self.targets, batch, axis=0, out=self.batch_targets[:len(batch)],
+                    mode="clip")
         self.enc_cache = self.encoder.forward_cache(x, [o[:len(x)] for o in self.enc_outputs])
         return self.enc_cache[-1]
 
-    def decode(self, z, target):
-        """(The decoder's MSE on ``target``, its gradient w.r.t. the code
-        ``z``), with the decoder's gradients written; the code gradient lies
-        in the scratch, which ``backward_encoder`` overwrites."""
+    def decode(self, z):
+        """(The decoder's MSE on the batch's targets, its gradient w.r.t. the
+        code ``z``), with the decoder's gradients written; the code gradient
+        lies in the scratch, which ``backward_encoder`` overwrites."""
         cache = self.decoder.forward_cache(z, [o[:len(z)] for o in self.dec_outputs])
-        loss, grad = nn.mse_loss_gradient(cache[-1], target, self.diff[:len(z)],
-                                          self.scratch[0])
+        loss, grad = nn.mse_loss_gradient(cache[-1], self.batch_targets[:len(z)],
+                                          self.diff[:len(z)], self.scratch[0])
         return loss, self.decoder.backward_cache(cache, grad, self.dec_grads, self.scratch)
 
     def backward_encoder(self, dz):
@@ -408,13 +468,14 @@ def _fork_join(pool, fn, *iterables) -> list:
     return [fn(*calls[0]), *(future.result() for future in futures)]
 
 
-def _step(blocks, pool, inputs, targets, z, dz):
-    """Forward and backward pass over one batch in three fork/join phases
-    over the blocks; writes every gradient and returns each decoder's MSE.
-    The code ``z`` and its gradient ``dz`` are formed between the phases,
-    in block order."""
-    np.concatenate(_fork_join(pool, _BlockNets.encode, blocks, inputs), axis=1, out=z)
-    losses, dzs = zip(*_fork_join(pool, _BlockNets.decode, blocks, itertools.repeat(z), targets))
+def _step(blocks, pool, batch, z, dz):
+    """Forward and backward pass over the sample rows ``batch`` in three
+    fork/join phases over the blocks, each block gathering its own rows;
+    writes every gradient and returns each decoder's MSE.  The code ``z``
+    and its gradient ``dz`` are formed between the phases, in block order."""
+    np.concatenate(_fork_join(pool, _BlockNets.encode, blocks, itertools.repeat(batch)),
+                   axis=1, out=z)
+    losses, dzs = zip(*_fork_join(pool, _BlockNets.decode, blocks, itertools.repeat(z)))
     np.copyto(dz, dzs[0])
     for grad in dzs[1:]:
         dz += grad  # the first decoder's, then the others in order
@@ -462,6 +523,16 @@ class OracleRepresentation:
 # --- fit specs consumed by the evaluation harness ---------------------------
 
 
+def _subject_views(subjects: list[SubjectRecord]) -> tuple[list, ViewSpec]:
+    """Each subject's (x_task, x_rest) pair, and the ViewSpec of their
+    widths; a ValueError for no subject."""
+    if not subjects:
+        raise ValueError("no subjects to fit on")
+    first = subjects[0]
+    return ([(s.x_task, s.x_rest) for s in subjects],
+            ViewSpec(d_task=first.x_task.shape[1], d_rest=first.x_rest.shape[1]))
+
+
 def check_training(epochs: int, batch_size: int, learning_rate: float) -> None:
     """A ValueError naming the first training field out of range."""
     if epochs < 1:
@@ -485,11 +556,8 @@ class AutoencoderSpec:
         check_training(self.epochs, self.batch_size, self.learning_rate)
 
     def fit(self, subjects: list[SubjectRecord], seed: int) -> Autoencoder:
-        return train_autoencoder(
-            stack_views(subjects), self.config, seed,
-            epochs=self.epochs, batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-        )
+        return _fit(*_subject_views(subjects), self.config, seed,
+                    self.epochs, self.batch_size, self.learning_rate)
 
 
 @dataclass
@@ -504,11 +572,11 @@ class PcaSpec:
             raise ValueError(f"enc must be >= 1, got {self.enc!r}")
 
     def fit(self, subjects: list[SubjectRecord], seed: int) -> PcaRepresentation:
-        x_task, x_rest = stack_views(subjects)
-        x = np.concatenate([x_task, x_rest], axis=1)
-        scaler = FeatureScaler.fit(x)
-        model = fit_pca(scaler.transform(x), self.enc, seed=seed)
-        return PcaRepresentation(scaler, model)
+        views, view = _subject_views(subjects)
+        # the concatenated views, standardized in place
+        x, = _block_samples(views, [slice(0, view.d_concat)])
+        scaler, _ = FeatureScaler.standardize(x)
+        return PcaRepresentation(scaler, fit_pca(x, self.enc, seed=seed))
 
 
 @dataclass

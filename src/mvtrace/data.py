@@ -156,14 +156,5 @@ def load_dataset(directory):
     return subjects, mesh, ground_truth
 
 
-def stack_views(subjects: list[SubjectRecord]):
-    """Stack all subjects' per-vertex samples: (N, d_task), (N, d_rest)."""
-    if not subjects:
-        raise ValueError("no subjects to stack")
-    x_task = np.vstack([s.x_task for s in subjects])
-    x_rest = np.vstack([s.x_rest for s in subjects])
-    return x_task, x_rest
-
-
 def scores_array(subjects: list[SubjectRecord]) -> np.ndarray:
     return np.array([s.score for s in subjects], dtype=np.float64)

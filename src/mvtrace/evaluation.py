@@ -148,7 +148,9 @@ def fold_latents(
     Returns ``(train, encode)``: the (n_train, m, d) training stack in
     ``train_idx`` order, and ``encode(subjects, rows)``, the (n, len(rows),
     d) stack of other subjects' latents on vertex ``rows``, z-scored with
-    the same statistics.
+    the same statistics.  Each stack is allocated once and every subject's
+    latents are written into it as they are encoded, then z-scored in
+    place, so beside the stack only one subject's latents exist at a time.
 
     Autoencoder codes have an arbitrary per-column scale (a rescaled code
     with an inversely rescaled decoder reconstructs identically), so without
@@ -157,10 +159,10 @@ def fold_latents(
     """
     train_subjects = [subjects[i] for i in train_idx]
     model = spec.fit(train_subjects, int(fit_seed))
-    train = np.stack([model.encode_subject(s) for s in train_subjects])
+    train = _latent_stack(model, train_subjects, slice(None))
     if standardize_latents:
         center = train.mean(axis=(0, 1))
-        train -= center  # in place: the stack is a fresh array
+        train -= center
         # each column's population std, without a stack-sized temporary
         scale = np.sqrt(np.einsum("ijk,ijk->k", train, train)
                         / (train.shape[0] * train.shape[1]))
@@ -168,13 +170,26 @@ def fold_latents(
         train /= scale
 
     def encode(others: list[SubjectRecord], rows: np.ndarray) -> np.ndarray:
-        latents = np.stack([model.encode_subject(s)[rows] for s in others])
+        latents = _latent_stack(model, others, rows)
         if standardize_latents:
             latents -= center
             latents /= scale
         return latents
 
     return train, encode
+
+
+def _latent_stack(model, subjects: list[SubjectRecord], rows) -> np.ndarray:
+    """The (n, rows, d) C-contiguous stack of the ``subjects``' latents on
+    vertex ``rows`` (an index array or a slice), in one new array that each
+    subject's latents are written into as they are encoded."""
+    first = model.encode_subject(subjects[0])[rows]
+    stack = np.empty((len(subjects), *first.shape))
+    stack[0] = first
+    del first  # so that one subject's latents exist beside the stack at a time
+    for i in range(1, len(subjects)):
+        stack[i] = model.encode_subject(subjects[i])[rows]
+    return stack
 
 
 def solve_fold(

@@ -15,9 +15,9 @@ its GEMMs:
 * ``backward_cache`` writes the weight and bias gradients into the caller's
   arrays and the input gradients into two buffers that it alternates
   between (``backward_scratch``); it skips the derivative product of linear
-  layers, masks relu gradients by ``output > 0`` through a bool buffer, and
-  can skip the input-gradient GEMM of the first layer (``input_grad=False``)
-  when nobody reads it;
+  layers, masks relu gradients by ``output > 0`` through a bool buffer
+  copied to 0.0/1.0 factors, and can skip the input-gradient GEMM of the
+  first layer (``input_grad=False``) when nobody reads it;
 * ``mse_loss_gradient`` forms the loss and its gradient from one difference,
   in a caller's buffer;
 * ``share_buffers`` seats a set of networks' weights and biases in one flat
@@ -59,13 +59,17 @@ def activation_backward(name: str, grad: np.ndarray, a: np.ndarray,
                         scratch: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The gradient w.r.t. the pre-activation, from the gradient ``grad``
     w.r.t. the output ``a``; ``grad`` is overwritten and returned.  A
-    sigmoid's slope is formed in the flat float array ``scratch``, a relu's
-    mask in the flat bool array ``mask``; each holds at least ``a.size``
-    elements."""
+    sigmoid's slope is formed in the flat float array ``scratch``; a relu's
+    mask is formed in the flat bool array ``mask`` and copied to ``scratch``
+    as 0.0/1.0 factors.  Each holds at least ``a.size`` elements."""
     if name == "linear":
         return grad
     if name == "relu":
-        return np.multiply(grad, np.greater(a, 0.0, out=_view(mask, a.shape)), out=grad)
+        # the mask as 0.0/1.0 in ``scratch``: a bool operand would make numpy
+        # cast it through a fresh np.getbufsize()-element buffer on every call
+        factor = _view(scratch, a.shape)
+        np.copyto(factor, np.greater(a, 0.0, out=_view(mask, a.shape)))
+        return np.multiply(grad, factor, out=grad)
     if name == "sigmoid":
         slope = np.subtract(1.0, a, out=_view(scratch, a.shape))
         slope *= a

@@ -87,20 +87,22 @@ def widths(mlp):
 class TestScaler:
     def test_standardization(self):
         data = np.random.default_rng(0).standard_normal((100, 4)) * 3.0 + 5.0
-        scaler = FeatureScaler.fit(data)
-        out = scaler.transform(data)
+        out = data.copy()
+        scaler, targets = FeatureScaler.standardize(out)
+        assert targets is out  # without a min-max map the targets are the inputs
+        assert np.array_equal(out, scaler.transform(data))  # in place, same rounding
         assert np.abs(out.mean(axis=0)).max() < 1e-12
         assert np.abs(out.std(axis=0) - 1.0).max() < 1e-12
 
     def test_minmax_targets_in_unit_interval(self):
         data = np.random.default_rng(1).standard_normal((50, 3))
-        scaler = FeatureScaler.fit(data, minmax=True)
-        targets = scaler.target(data)
+        scaler, targets = FeatureScaler.standardize(data.copy(), minmax=True)
+        assert np.array_equal(targets, scaler.target(data))
         assert targets.min() >= 0.0 and targets.max() <= 1.0
 
     def test_constant_feature_passthrough(self):
         data = np.column_stack([np.ones(30), np.arange(30.0)])
-        scaler = FeatureScaler.fit(data)
+        scaler, _ = FeatureScaler.standardize(data.copy())
         assert np.all(scaler.transform(data)[:, 0] == 0.0)
 
 
@@ -167,7 +169,8 @@ class TestMdaeTraining:
                                   learning_rate=1e-3)
         z = model.encode_pair(x_t[:1], x_r[:1])
         assert z.shape == (1, 10)
-        z_task = model.encoders[0].forward(FeatureScaler.fit(x_t).transform(x_t[:1]))
+        scaler, _ = FeatureScaler.standardize(x_t.copy())
+        z_task = model.encoders[0].forward(scaler.transform(x_t[:1]))
         assert np.array_equal(z[:, :8], z_task)
 
     def test_equal_views_converge_to_equal_losses(self):
@@ -308,6 +311,78 @@ class TestParallelStep:
         finally:
             tracemalloc.stop()
         assert len(growth) == 2 and max(growth) < buffers, growth
+
+
+def test_block_samples_stack_subjects_in_order():
+    subjects = [make_subject(f"s{i}", 7, seed=60 + i, d_task=4, d_rest=5) for i in range(3)]
+    views = [(s.x_task, s.x_rest) for s in subjects]
+    x_task = np.vstack([s.x_task for s in subjects])
+    x_rest = np.vstack([s.x_rest for s in subjects])
+    both = np.concatenate([x_task, x_rest], axis=1)
+    blocks = [slice(0, 4), slice(4, 9), slice(0, 9), slice(2, 6)]
+    samples = autoencoders._block_samples(views, blocks)
+    for x, cols in zip(samples, blocks):
+        assert x.flags.c_contiguous and x.flags.owndata
+        assert np.array_equal(x, both[:, cols])
+    with pytest.raises(ValueError, match="empty"):
+        autoencoders._block_samples([(np.zeros((0, 4)), np.zeros((0, 5)))], blocks)
+
+
+@pytest.mark.parametrize("kind", ["mdae", "concat-ae"])
+def test_training_leaves_the_callers_arrays_unchanged(kind):
+    x_t, x_r = random_views(60, 5, 4, seed=2)
+    before = x_t.copy(), x_r.copy()
+    cfg = ArchitectureConfig(kind=kind, enc=4, output_activation="sigmoid")
+    train_autoencoder((x_t, x_r), cfg, seed=0, epochs=1, batch_size=16, learning_rate=1e-3)
+    assert np.array_equal(x_t, before[0]) and np.array_equal(x_r, before[1])
+
+
+class TestFitMemory:
+    """A fit holds its training samples once: the traced peak above its
+    start stays below one copy of the block inputs, plus the min-max targets
+    of a sigmoid kind (one more copy), plus one scaler temporary (the
+    deviations that np.std forms for the widest block), plus ALLOWANCE."""
+
+    M, D_TASK, D_REST, SUBJECTS = 500, 24, 30, 20
+    COPY = SUBJECTS * M * (D_TASK + D_REST) * 8  # one copy of the samples: 4.32 MB
+    # the step workspace at batch 100 and 8 hidden units (under 0.4 MB), the
+    # epoch's permutation (80 kB) and numpy's iteration buffers
+    ALLOWANCE = 1_000_000
+
+    @pytest.fixture(scope="class")
+    def subjects(self):
+        return [make_subject(f"s{i}", self.M, seed=i, d_task=self.D_TASK, d_rest=self.D_REST)
+                for i in range(self.SUBJECTS)]
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kind,output", [("mdae", "linear"), ("concat-ae", "linear"),
+                                             ("mdae", "sigmoid")])
+    def test_autoencoder_fit_holds_the_samples_once(self, subjects, kind, output):
+        cfg = ArchitectureConfig(kind=kind, enc=4, hidden_dims=(8,),
+                                 hidden_activation="relu", output_activation=output)
+        spec = AutoencoderSpec(cfg, epochs=1, batch_size=100, learning_rate=1e-3)
+        nn.apply_activation(output, np.zeros(1))  # a sigmoid imports scipy.special once
+        widest = max(cols.stop - cols.start
+                     for cols, _ in cfg.blocks(ViewSpec(self.D_TASK, self.D_REST)))
+        scaler_temporary = self.COPY * widest // (self.D_TASK + self.D_REST)
+        targets = self.COPY if output == "sigmoid" else 0
+        bound = self.COPY + targets + scaler_temporary + self.ALLOWANCE
+        assert self.traced_peak(lambda: spec.fit(subjects, 0)) < bound
+
+    def test_pca_fit_holds_the_samples_once(self, subjects):
+        # beside the standardized matrix: the scaler temporary, then
+        # fit_pca's centered copy and the thin SVD's U factor, each a copy
+        bound = 3 * self.COPY + self.ALLOWANCE
+        assert self.traced_peak(lambda: PcaSpec(enc=4).fit(subjects, 0)) < bound
 
 
 # (kind, hidden widths) of the stackings in the architecture sweep

@@ -7,7 +7,6 @@ from mvtrace.data import (
     load_dataset,
     save_dataset,
     scores_array,
-    stack_views,
 )
 from mvtrace.mesh import icosphere
 
@@ -30,15 +29,6 @@ def test_vertex_count_mismatch_rejected():
         SubjectRecord("a", np.zeros((5, 3)), np.zeros((4, 2)), 0.0)
 
 
-def test_stack_views_shapes():
-    subjects = make_subjects(3, 7, 4, 5)
-    x_t, x_r = stack_views(subjects)
-    assert x_t.shape == (21, 4)
-    assert x_r.shape == (21, 5)
-    assert np.array_equal(x_t[7:14], subjects[1].x_task)
-    assert scores_array(subjects).shape == (3,)
-
-
 def test_dataset_roundtrip(tmp_path):
     mesh = icosphere(1)
     subjects = make_subjects(4, mesh.vertex_count, 3, 2, seed=5)
@@ -57,6 +47,7 @@ def test_dataset_roundtrip(tmp_path):
         assert np.array_equal(a.x_task, b.x_task)
         assert np.array_equal(a.x_rest, b.x_rest)
         assert a.score == b.score
+    assert np.array_equal(scores_array(loaded), [s.score for s in subjects])
     assert np.array_equal(gt["beta_true"], beta)
     assert gt["support"].tolist() == [5, 9]
 

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from mvtrace.autoencoders import (
     FeatureScaler,
     OracleSpec,
     PcaSpec,
+    RawSpec,
 )
 from mvtrace.data import SubjectRecord
 from mvtrace.mesh import build_laplacian
@@ -273,6 +275,21 @@ class TestFoldStages:
             outputs.append((train.tobytes(),
                             encode([cohort[i] for i in test_idx], rows).tobytes()))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_fold_latents_writes_one_stack(self, planted):
+        # raw latents: the traced peak is the training stack, one subject's
+        # latents beside it while they are encoded, and 10% of the stack
+        subjects, _, _ = planted
+        train_idx = ev.make_folds(40, 4, seed=3).train_indices(0)
+        one = subjects[0].x_task.nbytes + subjects[0].x_rest.nbytes
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train, _ = ev.fold_latents(subjects, RawSpec(), train_idx, fit_seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < train.nbytes + one + 0.1 * train.nbytes
 
     def test_solve_fold_repeats_and_leaves_latents_unchanged(self, planted):
         subjects, lap, _ = planted

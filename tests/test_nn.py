@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,26 @@ class TestBackward:
         mlp = nn.MLP([nn.DenseLayer(np.array([[1.0]]), np.array([0.0]), "linear")])
         grads = nn.backward(mlp, np.array([[2.0]]), np.array([[0.0]]))
         assert grads[0][0][0, 0] == 8.0
+
+
+    def test_relu_backward_allocates_no_iteration_buffer(self):
+        # a bool operand of a float multiply makes numpy cast it through a new
+        # np.getbufsize()-element buffer on every call (66 kB at this shape)
+        rows, width = 500, 140
+        rng = np.random.default_rng(0)
+        a = np.maximum(rng.standard_normal((rows, width)), 0.0)
+        grad = rng.standard_normal((rows, width))
+        expected = (grad * (a > 0.0)).tobytes()
+        scratch, mask = np.empty(rows * width), np.empty(rows * width, dtype=bool)
+        nn.activation_backward("relu", grad.copy(), a, scratch, mask)
+        tracemalloc.start()
+        try:
+            out = nn.activation_backward("relu", grad, a, scratch, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < np.getbufsize() * 8, peak
+        assert out.tobytes() == expected  # the bits of the bool-mask product
 
 
 class TestAdam:

@@ -15,8 +15,10 @@
 # Then each side runs the mdae_cv run twice more, once with --jobs 2 (fold
 # worker processes) and once with two BLAS threads, and the raw_alpha_path
 # sweep once more with --jobs 2 (a penalty path in each worker), and each pair
-# is compared the same way (one report line each).  Last, each side generates four more
-# cohorts at the same seed, on generator branches that no workload reaches
+# is compared the same way (one report line each).  Each side also runs the
+# mdae_cv config with arch "pca", and with output_activation "sigmoid"
+# (min-max targets), one report line each.  Last, each side generates four
+# more cohorts at the same seed, on generator branches that no workload reaches
 # (rest-view nuisance on, cluster_coherence 0, a grid mesh, one subject), and
 # those are compared too (one report line each).
 # Prints "DIFF <file>" for a file whose bytes differ, "FILESET <dir>" for a
@@ -108,6 +110,25 @@ for name, wl in workloads.WORKLOADS.items():
                 else
                     OPENBLAS_NUM_THREADS=2 mvtrace "${!side}" run --config "$d/run.json" --out "$W/out"
                 fi >/dev/null 2>&1 || echo "FAIL $d/$leg-$side"
+                mkdir -p "$W/out"
+                mv "$W/out" "$d/$leg-$side"
+            done
+            compare "$d/$leg-P" "$d/$leg-C"
+            echo "mdae_cv seed $s run $leg: $(ls "$d/$leg-P" | wc -l) files"
+        done
+        # the same cohort through the PCA baseline and through an mdae with
+        # min-max targets (sigmoid output), paths no workload reaches
+        for leg in pca sigmoid; do
+            python3 -c "
+import json, sys
+cfg = json.load(open('$d/run.json'))
+cfg.update({'arch': 'pca'} if '$leg' == 'pca' else {'output_activation': 'sigmoid'})
+json.dump(cfg, open('$d/$leg.json', 'w'))
+" || exit 1
+            for side in P C; do
+                rm -rf "$W/out"
+                mvtrace "${!side}" run --config "$d/$leg.json" --out "$W/out" >/dev/null 2>&1 \
+                    || echo "FAIL $d/$leg-$side"
                 mkdir -p "$W/out"
                 mv "$W/out" "$d/$leg-$side"
             done
