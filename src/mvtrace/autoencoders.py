@@ -1,12 +1,13 @@
 """Multi-view representation models and their training loop.
 
-Every autoencoder kind is one graph over the per-vertex feature pair
-``(x_task, x_rest)``, read as the columns ``[task | rest]``:
+Every autoencoder kind is one graph over the per-vertex views
+``(x_task, x_rest)``:
 
-* one encoder per column block, each ending in its share of the bottleneck;
+* one encoder per block, each reading one view or both views (their columns
+  concatenated in view order) and ending in its share of the bottleneck;
 * one latent code: the blocks' codes concatenated in block order;
 * one decoder per block that reads the whole code and reconstructs that
-  block's columns;
+  block's input;
 * a loss that is the unweighted sum of the per-decoder MSEs.
 
 ``monomodal-task`` and ``monomodal-rest`` have one block over one view,
@@ -14,21 +15,23 @@ Every autoencoder kind is one graph over the per-vertex feature pair
 autoencoder ``mdae`` a task block and a rest block that split the code by
 ``enc_split``.
 
-A PCA wrapper, a raw passthrough and a fixed-latent oracle expose the same
-subject-encoding interface so the evaluation harness can swap them freely.
-Inputs are standardized per feature on the training data; sigmoid-output
-variants additionally min-max map the reconstruction targets to [0, 1].
+A spec fits, a model encodes: ``AutoencoderSpec.fit`` and ``PcaSpec.fit``
+return a fitted model, while ``RawSpec`` and the fixed-latent ``OracleSpec``
+need no fit and encode subjects themselves.  All of them expose
+``encode_subject`` so the evaluation harness can swap them freely.  Inputs
+are standardized per feature on the training data; sigmoid-output variants
+additionally min-max map the reconstruction targets to [0, 1].
 
 A fit holds its training samples once.  Each block's (N, width) input is
 one C-contiguous array that the fit owns, filled straight from the
-subjects' (or the caller's) views and then standardized in place
-(``FeatureScaler.standardize``); the caller's arrays are never modified,
+subjects' views and then standardized in place
+(``FeatureScaler.standardize``); the subjects' arrays are never modified,
 and no per-view stack or concatenated copy is made beside it.  A sigmoid
 kind's min-max targets are one more array; otherwise the targets are the
-inputs.  ``PcaSpec`` fills and standardizes its one concatenated matrix the
-same way.
+inputs.  ``PcaSpec`` fills and standardizes its one matrix over both views
+the same way.
 
-``train_autoencoder`` keeps a step down to its GEMMs, with the bits of the
+``AutoencoderSpec.fit`` keeps a step down to its GEMMs, with the bits of the
 plain loop: every parameter lives in one flat buffer (``nn.share_buffers``)
 that a single Adam call updates; each batch gathers its rows of the epoch's
 permutation from the block inputs (and targets) into batch-sized buffers;
@@ -71,6 +74,7 @@ HIDDEN_ACTIVATIONS = ("linear", "relu")
 OUTPUT_ACTIVATIONS = ("linear", "sigmoid")
 
 ENC_MIN, ENC_MAX = 2, 100
+BOTH_VIEWS = (0, 1)  # the views of a block over both, in column order
 
 # Default hidden stacks (per side, encoder order); the three-layer variants
 # performed best in the architecture sweep.
@@ -80,22 +84,6 @@ DEFAULT_HIDDEN = {
     "concat-ae": (200, 130),
     "mdae": (140, 120),
 }
-
-
-@dataclass(frozen=True)
-class ViewSpec:
-    """Feature counts of the two views."""
-
-    d_task: int
-    d_rest: int
-
-    def __post_init__(self):
-        if self.d_task < 1 or self.d_rest < 1:
-            raise ValueError("view dimensions must be >= 1")
-
-    @property
-    def d_concat(self) -> int:
-        return self.d_task + self.d_rest
 
 
 @dataclass
@@ -140,15 +128,13 @@ class ArchitectureConfig:
         elif self.enc_split is not None:
             raise ValueError("enc_split only applies to kind='mdae'")
 
-    def blocks(self, view: ViewSpec) -> list[tuple[slice, int]]:
-        """(columns of ``[task | rest]``, code width) of each encoder, in code
-        order."""
-        task, rest = slice(0, view.d_task), slice(view.d_task, view.d_concat)
+    def blocks(self) -> list[tuple[tuple[int, ...], int]]:
+        """(views read, in order: 0 task, 1 rest; code width) of each
+        encoder, in code order."""
         if self.kind == "mdae":
-            return [(task, self.enc_split[0]), (rest, self.enc_split[1])]
-        both = slice(0, view.d_concat)
-        columns = {"monomodal-task": task, "monomodal-rest": rest, "concat-ae": both}
-        return [(columns[self.kind], self.enc)]
+            return [((0,), self.enc_split[0]), ((1,), self.enc_split[1])]
+        views = {"monomodal-task": (0,), "monomodal-rest": (1,), "concat-ae": BOTH_VIEWS}
+        return [(views[self.kind], self.enc)]
 
 
 @dataclass
@@ -212,73 +198,57 @@ class _SubjectEncoderMixin:
         return self.encode_pair(subject.x_task, subject.x_rest)
 
 
-def _columns(x_task: np.ndarray, x_rest: np.ndarray, cols: slice) -> np.ndarray:
-    """Columns ``cols`` of ``[x_task | x_rest]``.
-
-    A basic slice of one view, or a contiguous copy when ``cols`` spans both;
-    never fancy indexing, whose F-ordered result changes the GEMM bits.
-    """
-    d_task = x_task.shape[-1]
-    if cols.stop <= d_task:
-        return x_task[..., cols]
-    if cols.start >= d_task:
-        return x_rest[..., cols.start - d_task:cols.stop - d_task]
-    return np.concatenate(
-        [x_task[..., cols.start:], x_rest[..., :cols.stop - d_task]], axis=-1
-    )
+def _block_input(pair, views, out=None) -> np.ndarray:
+    """What a block over ``views`` reads from ``pair`` = (x_task, x_rest),
+    2-D arrays of the same rows: the one view itself, or the views' columns
+    concatenated in order (into ``out`` when given); never fancy indexing,
+    whose F-ordered result changes the GEMM bits."""
+    if out is None and len(views) == 1:
+        return pair[views[0]]
+    return np.concatenate([pair[v] for v in views], axis=1, out=out)
 
 
-def _block_samples(views, blocks: list[slice]) -> list[np.ndarray]:
-    """Each block's samples: columns ``cols`` of ``[x_task | x_rest]`` of
-    every (x_task, x_rest) pair of 2-D ``views``, stacked in order into one
-    new C-contiguous (N, width) array per block of ``blocks``.  Raises on
-    N = 0."""
-    n = sum(len(x_task) for x_task, _ in views)
+def _block_samples(pairs, blocks) -> list[np.ndarray]:
+    """Each block's samples: what a block over the views of each entry of
+    ``blocks`` reads from every (x_task, x_rest) pair of ``pairs``, stacked
+    in order into one new C-contiguous (N, width) array per block.  Raises
+    on N = 0."""
+    n = sum(len(x_task) for x_task, _ in pairs)
     if n == 0:
         raise ValueError("empty training data")
-    samples = [np.empty((n, cols.stop - cols.start)) for cols in blocks]
+    samples = [np.empty((n, sum(pairs[0][v].shape[1] for v in views))) for views in blocks]
     start = 0
-    for x_task, x_rest in views:
-        stop = start + len(x_task)
-        for x, cols in zip(samples, blocks):
-            offset = 0
-            for view in (x_task, x_rest):
-                # the part of this view that the block reads, at its place
-                low = max(cols.start, offset)
-                high = min(cols.stop, offset + view.shape[1])
-                if low < high:
-                    x[start:stop, low - cols.start:high - cols.start] = \
-                        view[:, low - offset:high - offset]
-                offset += view.shape[1]
+    for pair in pairs:
+        stop = start + len(pair[0])
+        for x, views in zip(samples, blocks):
+            _block_input(pair, views, out=x[start:stop])
         start = stop
     return samples
 
 
 class Autoencoder(_SubjectEncoderMixin):
-    """Encoders over column blocks of ``[task | rest]``, their codes
-    concatenated in block order, and one decoder per block that reads the
-    whole code.
+    """Encoders over blocks of the views, their codes concatenated in block
+    order, and one decoder per block that reads the whole code.
 
     ``scalers`` holds one FeatureScaler per block, fit on that block's
-    columns alone.  ``epoch_losses`` holds, per epoch, the summed training
+    input alone.  ``epoch_losses`` holds, per epoch, the summed training
     MSE followed by each decoder's.
     """
 
-    def __init__(self, config, view, scalers, encoders, decoders, epoch_losses):
+    def __init__(self, config, scalers, encoders, decoders, epoch_losses):
         self.config = config
-        self.view = view
         self.scalers = list(scalers)
         self.encoders = list(encoders)
         self.decoders = list(decoders)
         self.epoch_losses = epoch_losses
-        self.blocks = [cols for cols, _ in config.blocks(view)]
+        self.blocks = [views for views, _ in config.blocks()]
 
     def encode_pair(self, x_task, x_rest) -> np.ndarray:
         """The (n, enc) codes of n rows of each view (2-D arrays)."""
         return np.concatenate(
             [
-                encoder.forward(scaler.transform(_columns(x_task, x_rest, cols)))
-                for encoder, scaler, cols in zip(self.encoders, self.scalers, self.blocks)
+                encoder.forward(scaler.transform(_block_input((x_task, x_rest), views)))
+                for encoder, scaler, views in zip(self.encoders, self.scalers, self.blocks)
             ],
             axis=1,
         )
@@ -288,56 +258,27 @@ class Autoencoder(_SubjectEncoderMixin):
         space."""
         z = self.encode_pair(x_task, x_rest)
         return sum(
-            nn.mse_loss(decoder.forward(z), scaler.target(_columns(x_task, x_rest, cols)))
-            for decoder, scaler, cols in zip(self.decoders, self.scalers, self.blocks)
+            nn.mse_loss(decoder.forward(z), scaler.target(_block_input((x_task, x_rest), views)))
+            for decoder, scaler, views in zip(self.decoders, self.scalers, self.blocks)
         )
 
 
-def _sample_arrays(data) -> tuple[np.ndarray, np.ndarray]:
-    """The (X_task, X_rest) pair of sample matrices."""
-    x_task, x_rest = (np.asarray(v, dtype=np.float64) for v in data)
-    if x_task.ndim != 2 or x_rest.ndim != 2:
-        raise ValueError("training views must be 2-D (samples x features)")
-    if x_task.shape[0] != x_rest.shape[0]:
-        raise ValueError("views disagree on sample count")
-    return x_task, x_rest
-
-
-def train_autoencoder(
-    data,
-    config: ArchitectureConfig,
-    seed: int,
-    *,
-    epochs: int,
-    batch_size: int,
-    learning_rate: float,
-) -> Autoencoder:
+def _fit(pairs, config, seed, epochs, batch_size, learning_rate) -> Autoencoder:
     """Adam-train the autoencoder ``config`` on the sum of its per-decoder
-    reconstruction MSEs.
+    reconstruction MSEs, over the samples of every (x_task, x_rest) pair of
+    ``pairs`` in turn: 2-D float64 arrays, never modified.
 
-    ``data`` is a pair of (N, d_task)/(N, d_rest) arrays, which the fit
-    copies and never modifies.  Each block's columns are copied once into
-    an array the fit owns, and standardized there in place by a scaler fit
-    on that block's columns alone.  Each batch gathers its rows of the
-    epoch's permutation from those arrays into batch-sized buffers.
-    ``default_rng(seed)`` draws the encoder layers in block order, then the
-    decoder layers, then the seed of the per-epoch shuffle, so for a fixed
-    BLAS thread count the result is a pure function of (data, config, seed,
-    epochs, batch_size, learning_rate).
+    Each block's input is copied once into an array the fit owns, and
+    standardized there in place by a scaler fit on that block's input alone.
+    Each batch gathers its rows of the epoch's permutation from those arrays
+    into batch-sized buffers.  ``default_rng(seed)`` draws the encoder
+    layers in block order, then the decoder layers, then the seed of the
+    per-epoch shuffle, so for a fixed BLAS thread count the result is a pure
+    function of (pairs, config, seed, epochs, batch_size, learning_rate).
     """
-    x_task, x_rest = _sample_arrays(data)
-    view = ViewSpec(d_task=x_task.shape[1], d_rest=x_rest.shape[1])
-    return _fit([(x_task, x_rest)], view, config, seed, epochs, batch_size, learning_rate)
-
-
-def _fit(views, view, config, seed, epochs, batch_size, learning_rate) -> Autoencoder:
-    """``train_autoencoder`` on the samples of every (x_task, x_rest) pair
-    of ``views`` in turn: 2-D float64 arrays of the widths of ``view``."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    blocks = config.blocks(view)
+    blocks = config.blocks()
     minmax = config.output_activation == "sigmoid"
-    inputs = _block_samples(views, [cols for cols, _ in blocks])
+    inputs = _block_samples(pairs, [views for views, _ in blocks])
     # one block at a time, so one scaler's deviations exist at once; without
     # a min-max map the targets are the inputs themselves
     scalers, targets = zip(*(FeatureScaler.standardize(x, minmax=minmax) for x in inputs))
@@ -348,13 +289,11 @@ def _fit(views, view, config, seed, epochs, batch_size, learning_rate) -> Autoen
     # Encoders end in the hidden activation (the bottleneck is a hidden
     # layer); decoders end in the output activation.
     encoders = [
-        nn.MLP.from_dims([cols.stop - cols.start, *hidden, width], hid, hid, rng)
-        for cols, width in blocks
+        nn.MLP.from_dims([x.shape[1], *hidden, width], hid, hid, rng)
+        for x, (_, width) in zip(inputs, blocks)
     ]
-    decoders = [
-        nn.MLP.from_dims([config.enc, *reversed(hidden), cols.stop - cols.start], hid, out, rng)
-        for cols, _ in blocks
-    ]
+    decoders = [nn.MLP.from_dims([config.enc, *reversed(hidden), x.shape[1]], hid, out, rng)
+                for x in inputs]
     params, grads, net_grads = nn.share_buffers(encoders + decoders)
     state = nn.AdamState.for_parameters(params, learning_rate)
     ends = list(itertools.accumulate(width for _, width in blocks))
@@ -390,7 +329,7 @@ def _fit(views, view, config, seed, epochs, batch_size, learning_rate) -> Autoen
     finally:
         if pool is not None:
             pool.shutdown()  # joins the threads, also after a failed step
-    return Autoencoder(config, view, scalers, encoders, decoders, epoch_losses)
+    return Autoencoder(config, scalers, encoders, decoders, epoch_losses)
 
 
 def _block_threads(blocks: int) -> int:
@@ -494,43 +433,18 @@ class PcaRepresentation(_SubjectEncoderMixin):
         self.model = model
 
     def encode_pair(self, x_task, x_rest) -> np.ndarray:
-        x = np.concatenate([x_task, x_rest], axis=1)
+        x = _block_input((x_task, x_rest), BOTH_VIEWS)
         return pca_encode(self.model, self.scaler.transform(x))
-
-
-class RawRepresentation(_SubjectEncoderMixin):
-    """Identity passthrough of the concatenated views."""
-
-    def encode_pair(self, x_task, x_rest) -> np.ndarray:
-        return np.concatenate([x_task, x_rest], axis=1)
-
-
-class OracleRepresentation:
-    """Fixed per-subject latents, looked up by subject id (test fixture)."""
-
-    def __init__(self, latents: Mapping[str, np.ndarray]):
-        self.latents = {k: np.asarray(v, dtype=np.float64) for k, v in latents.items()}
-        dims = {v.shape[1] for v in self.latents.values()}
-        if len(dims) != 1:
-            raise ValueError("oracle latents disagree on latent dim")
-
-    def encode_subject(self, subject: SubjectRecord) -> np.ndarray:
-        if subject.subject_id not in self.latents:
-            raise KeyError(f"no oracle latent for subject {subject.subject_id!r}")
-        return self.latents[subject.subject_id]
 
 
 # --- fit specs consumed by the evaluation harness ---------------------------
 
 
-def _subject_views(subjects: list[SubjectRecord]) -> tuple[list, ViewSpec]:
-    """Each subject's (x_task, x_rest) pair, and the ViewSpec of their
-    widths; a ValueError for no subject."""
+def _pairs(subjects: list[SubjectRecord]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each subject's (x_task, x_rest) pair; a ValueError for no subject."""
     if not subjects:
         raise ValueError("no subjects to fit on")
-    first = subjects[0]
-    return ([(s.x_task, s.x_rest) for s in subjects],
-            ViewSpec(d_task=first.x_task.shape[1], d_rest=first.x_rest.shape[1]))
+    return [(s.x_task, s.x_rest) for s in subjects]
 
 
 def check_training(epochs: int, batch_size: int, learning_rate: float) -> None:
@@ -556,7 +470,7 @@ class AutoencoderSpec:
         check_training(self.epochs, self.batch_size, self.learning_rate)
 
     def fit(self, subjects: list[SubjectRecord], seed: int) -> Autoencoder:
-        return _fit(*_subject_views(subjects), self.config, seed,
+        return _fit(_pairs(subjects), self.config, seed,
                     self.epochs, self.batch_size, self.learning_rate)
 
 
@@ -572,26 +486,40 @@ class PcaSpec:
             raise ValueError(f"enc must be >= 1, got {self.enc!r}")
 
     def fit(self, subjects: list[SubjectRecord], seed: int) -> PcaRepresentation:
-        views, view = _subject_views(subjects)
-        # the concatenated views, standardized in place
-        x, = _block_samples(views, [slice(0, view.d_concat)])
+        # both views' columns, standardized in place
+        x, = _block_samples(_pairs(subjects), [BOTH_VIEWS])
         scaler, _ = FeatureScaler.standardize(x)
         return PcaRepresentation(scaler, fit_pca(x, self.enc, seed=seed))
 
 
 @dataclass
-class RawSpec:
-    """Identity representation: every concatenated view column."""
+class RawSpec(_SubjectEncoderMixin):
+    """Identity representation: every column of both views.  Nothing to fit,
+    so the spec encodes subjects itself."""
 
-    def fit(self, subjects: list[SubjectRecord], seed: int) -> RawRepresentation:
-        return RawRepresentation()
+    def fit(self, subjects: list[SubjectRecord], seed: int) -> "RawSpec":
+        return self
+
+    def encode_pair(self, x_task, x_rest) -> np.ndarray:
+        return _block_input((x_task, x_rest), BOTH_VIEWS)
 
 
 @dataclass
 class OracleSpec:
-    """Fixed known latents keyed by subject id (bypasses fitting)."""
+    """Fixed known latents keyed by subject id (a test fixture).  Nothing to
+    fit, so the spec encodes subjects itself."""
 
     latents: Mapping[str, np.ndarray]
 
-    def fit(self, subjects: list[SubjectRecord], seed: int) -> OracleRepresentation:
-        return OracleRepresentation(self.latents)
+    def __post_init__(self):
+        self.latents = {k: np.asarray(v, dtype=np.float64) for k, v in self.latents.items()}
+        if len({v.shape[1] for v in self.latents.values()}) != 1:
+            raise ValueError("oracle latents disagree on latent dim")
+
+    def fit(self, subjects: list[SubjectRecord], seed: int) -> "OracleSpec":
+        return self
+
+    def encode_subject(self, subject: SubjectRecord) -> np.ndarray:
+        if subject.subject_id not in self.latents:
+            raise KeyError(f"no oracle latent for subject {subject.subject_id!r}")
+        return self.latents[subject.subject_id]

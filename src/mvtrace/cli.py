@@ -255,7 +255,8 @@ def _check_numbers(cfg: dict) -> None:
     fields and the entries of ``hidden_dims`` and ``enc_split`` must be an
     int, and ``learning_rate``, ``alpha``, ``eta`` and ``fista.rel_tolerance``
     a finite int or float, never a bool; nothing is cast, so nothing is
-    truncated or read as true.  The config objects check the ranges."""
+    truncated or read as true.  ``cv.folds``, the seeds and ``jobs`` are
+    range-checked here; the config objects check the other ranges."""
     def is_int(value):
         return isinstance(value, int) and not isinstance(value, bool)
 
@@ -284,6 +285,9 @@ def _check_numbers(cfg: dict) -> None:
             raise ConfigError(f"{name} must be finite, got {value!r}")
     if integers["cv.folds"] < 2:
         raise ConfigError(f"cv.folds must be at least 2, got {integers['cv.folds']}")
+    for name in ("seed", "cv.seed"):
+        if integers[name] < 0:
+            raise ConfigError(f"{name} must be >= 0, got {integers[name]}")
     jobs = cfg["jobs"]
     if not is_int(jobs) or jobs < 1:
         raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")

@@ -42,6 +42,9 @@ class SubjectRecord:
                 f"vertex count mismatch between views: "
                 f"{self.x_task.shape[0]} vs {self.x_rest.shape[0]}"
             )
+        for view, values in (("task", self.x_task), ("rest", self.x_rest)):
+            if values.shape[1] < 1:
+                raise ValueError(f"subject {self.subject_id} has no {view} column")
         self.score = float(self.score)
 
     @property

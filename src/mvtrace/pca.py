@@ -24,10 +24,14 @@ class PcaModel:
         return self.components.shape[0]
 
 
-def fit_pca(data: np.ndarray, enc: int, *, max_rows: int = 200_000, seed: int = 0) -> PcaModel:
+# rows a fit reads at most; more are subsampled
+MAX_ROWS = 200_000
+
+
+def fit_pca(data: np.ndarray, enc: int, *, seed: int = 0) -> PcaModel:
     """Top-``enc`` principal directions of mean-centered ``data`` (N x d).
 
-    Uses a dense thin SVD.  Data with more than ``max_rows`` rows is
+    Uses a dense thin SVD.  Data with more than ``MAX_ROWS`` rows is
     subsampled (seeded, without replacement) before fitting; this keeps the
     memory footprint bounded with negligible effect on the top components.
     The sign of each component is fixed so its largest-magnitude entry is
@@ -41,10 +45,10 @@ def fit_pca(data: np.ndarray, enc: int, *, max_rows: int = 200_000, seed: int = 
         raise ValueError("need at least 2 samples")
     if not (1 <= enc <= min(n, d)):
         raise ValueError(f"enc={enc} must be in [1, min(N, d)] = [1, {min(n, d)}]")
-    if n > max_rows:
+    if n > MAX_ROWS:
         rng = np.random.default_rng(seed)
-        data = data[rng.choice(n, size=max_rows, replace=False)]
-        n = max_rows
+        data = data[rng.choice(n, size=MAX_ROWS, replace=False)]
+        n = MAX_ROWS
     mean = data.mean(axis=0)
     centered = data - mean
     _, singular_values, vt = np.linalg.svd(centered, full_matrices=False)

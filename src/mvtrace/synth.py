@@ -71,6 +71,11 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n_subjects < 1:
             raise ValueError("n_subjects must be >= 1")
+        for name in ("d_task", "d_rest"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.latent_dim_true > min(self.d_task, self.d_rest):
             raise ValueError(
                 "latent_dim_true must be <= min(d_task, d_rest) so each view "

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mvtrace import evaluation
+from mvtrace.autoencoders import AutoencoderSpec
+from mvtrace.data import SubjectRecord
 from mvtrace.mesh import Mesh, build_laplacian
 from mvtrace.trace_regression import FistaConfig, fit_mfista, objective
 
@@ -37,6 +39,14 @@ def random_views(n, d_task, d_rest, seed, latent_dim=None):
     x_t = h @ a_t + 0.1 * rng.standard_normal((n, d_task))
     x_r = h @ a_r + 0.1 * rng.standard_normal((n, d_rest))
     return x_t, x_r
+
+
+def fit_autoencoder(x_task, x_rest, config, seed, *, epochs, batch_size, learning_rate):
+    """``config`` fitted through its spec on one subject whose vertices are
+    the sample rows of ``x_task`` and ``x_rest``."""
+    spec = AutoencoderSpec(config, epochs=epochs, batch_size=batch_size,
+                           learning_rate=learning_rate)
+    return spec.fit([SubjectRecord("samples", x_task, x_rest, 0.0)], seed)
 
 
 def recorded_solves(monkeypatch) -> list:

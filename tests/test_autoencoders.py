@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import random_views
+from conftest import fit_autoencoder, random_views
 from mvtrace import autoencoders, nn
 from mvtrace.autoencoders import (
     KINDS,
@@ -16,20 +16,23 @@ from mvtrace.autoencoders import (
     OracleSpec,
     PcaSpec,
     RawSpec,
-    ViewSpec,
-    train_autoencoder,
 )
 from mvtrace.data import SubjectRecord
 from mvtrace.pca import fit_pca, reconstruction_mse
 
-VIEW = ViewSpec(d_task=24, d_rest=30)
+D_TASK, D_REST = 24, 30
 
 
 class TestConfigs:
-    def test_view_spec(self):
-        assert VIEW.d_concat == 54
-        with pytest.raises(ValueError):
-            ViewSpec(0, 3)
+    def test_blocks_name_their_views(self):
+        # (views read: 0 task, 1 rest; code width) per encoder, in code order
+        blocks = {kind: ArchitectureConfig(kind=kind, enc=5).blocks() for kind in KINDS}
+        assert blocks == {
+            "monomodal-task": [((0,), 5)],
+            "monomodal-rest": [((1,), 5)],
+            "concat-ae": [((0, 1), 5)],
+            "mdae": [((0,), 3), ((1,), 2)],
+        }
 
     @pytest.mark.parametrize("enc", [1, 0, 101, 150])
     def test_enc_range_enforced(self, enc):
@@ -61,23 +64,24 @@ class TestConfigs:
     def test_three_layer_concat_row(self):
         # the showcased stacking: [D_concat, 200, 130, enc, 130, 200, D_concat]
         cfg = ArchitectureConfig(kind="concat-ae", enc=10, hidden_dims=(200, 130))
-        model = untrained(cfg)
+        model = one_epoch_model(cfg)
         assert widths(model.encoders[0]) + widths(model.decoders[0])[1:] == [
             54, 200, 130, 10, 130, 200, 54
         ]
 
     def test_mdae_dims_per_view(self):
         cfg = ArchitectureConfig(kind="mdae", enc=10, enc_split=(8, 2), hidden_dims=(140, 120))
-        model = untrained(cfg)
+        model = one_epoch_model(cfg)
         assert [widths(e) for e in model.encoders] == [[24, 140, 120, 8], [30, 140, 120, 2]]
         assert [widths(d) for d in model.decoders] == [[10, 120, 140, 24], [10, 120, 140, 30]]
 
 
-def untrained(config):
-    """A model of ``config`` over VIEW with its initial weights."""
-    x_t, x_r = random_views(4, VIEW.d_task, VIEW.d_rest, seed=0)
-    return train_autoencoder((x_t, x_r), config, seed=0, epochs=0, batch_size=4,
-                             learning_rate=1e-3)
+def one_epoch_model(config):
+    """A model of ``config`` over D_TASK task and D_REST rest columns, after
+    one epoch on four samples."""
+    x_t, x_r = random_views(4, D_TASK, D_REST, seed=0)
+    return fit_autoencoder(x_t, x_r, config, seed=0, epochs=1, batch_size=4,
+                           learning_rate=1e-3)
 
 
 def widths(mlp):
@@ -118,8 +122,8 @@ class TestConcatTraining:
         # enc = D_concat with linear maps can represent the identity
         x_t, x_r = random_views(400, 3, 3, seed=0)
         cfg = ArchitectureConfig(kind="concat-ae", enc=6, hidden_dims=())
-        model = train_autoencoder((x_t, x_r), cfg, seed=1, epochs=800,
-                                  batch_size=500, learning_rate=3e-3)
+        model = fit_autoencoder(x_t, x_r, cfg, seed=1, epochs=800,
+                                batch_size=500, learning_rate=3e-3)
         # target space is standardized, so unit variance per feature
         assert model.reconstruction_mse(x_t, x_r) < 1e-4
 
@@ -130,8 +134,8 @@ class TestConcatTraining:
         data += 0.1 * rng.standard_normal(data.shape)
         x_t, x_r = data[:, :7], data[:, 7:]
         cfg = ArchitectureConfig(kind="concat-ae", enc=5, hidden_dims=())
-        model = train_autoencoder((x_t, x_r), cfg, seed=2, epochs=1500,
-                                  batch_size=500, learning_rate=3e-3)
+        model = fit_autoencoder(x_t, x_r, cfg, seed=2, epochs=1500,
+                                batch_size=500, learning_rate=3e-3)
         standardized = model.scalers[0].transform(data)  # one block over both views
         pca_mse = reconstruction_mse(fit_pca(standardized, 5), standardized)
         assert model.reconstruction_mse(x_t, x_r) <= 1.05 * pca_mse
@@ -139,14 +143,14 @@ class TestConcatTraining:
     def test_empty_data_rejected(self):
         cfg = ArchitectureConfig(kind="concat-ae", enc=2)
         with pytest.raises(ValueError, match="empty"):
-            train_autoencoder((np.zeros((0, 3)), np.zeros((0, 2))), cfg, seed=0,
-                              epochs=1, batch_size=4, learning_rate=1e-3)
+            fit_autoencoder(np.zeros((0, 3)), np.zeros((0, 2)), cfg, seed=0,
+                            epochs=1, batch_size=4, learning_rate=1e-3)
 
     def test_monomodal_never_reads_other_view(self):
         x_t, x_r = random_views(300, 5, 4, seed=4)
         cfg = ArchitectureConfig(kind="monomodal-task", enc=3, hidden_dims=())
-        model = train_autoencoder((x_t, x_r), cfg, seed=5, epochs=10,
-                                  batch_size=100, learning_rate=1e-3)
+        model = fit_autoencoder(x_t, x_r, cfg, seed=5, epochs=10,
+                                batch_size=100, learning_rate=1e-3)
         shuffled_rest = x_r[np.random.default_rng(0).permutation(len(x_r))]
         assert np.array_equal(
             model.encode_pair(x_t, x_r), model.encode_pair(x_t, shuffled_rest)
@@ -155,8 +159,8 @@ class TestConcatTraining:
     def test_epoch_losses_logged(self):
         x_t, x_r = random_views(100, 4, 3, seed=6)
         cfg = ArchitectureConfig(kind="concat-ae", enc=3, hidden_dims=(8,))
-        model = train_autoencoder((x_t, x_r), cfg, seed=0, epochs=12,
-                                  batch_size=50, learning_rate=1e-3)
+        model = fit_autoencoder(x_t, x_r, cfg, seed=0, epochs=12,
+                                batch_size=50, learning_rate=1e-3)
         assert len(model.epoch_losses) == 12
         assert model.epoch_losses[-1][0] < model.epoch_losses[0][0]
 
@@ -165,8 +169,8 @@ class TestMdaeTraining:
     def test_split_layout_task_first(self):
         x_t, x_r = random_views(200, 12, 5, seed=7)
         cfg = ArchitectureConfig(kind="mdae", enc=10, enc_split=(8, 2), hidden_dims=())
-        model = train_autoencoder((x_t, x_r), cfg, seed=1, epochs=5, batch_size=100,
-                                  learning_rate=1e-3)
+        model = fit_autoencoder(x_t, x_r, cfg, seed=1, epochs=5, batch_size=100,
+                                learning_rate=1e-3)
         z = model.encode_pair(x_t[:1], x_r[:1])
         assert z.shape == (1, 10)
         scaler, _ = FeatureScaler.standardize(x_t.copy())
@@ -177,8 +181,8 @@ class TestMdaeTraining:
         rng = np.random.default_rng(0)
         base = rng.standard_normal((1500, 12))
         cfg = ArchitectureConfig(kind="mdae", enc=6, enc_split=(3, 3), hidden_dims=())
-        model = train_autoencoder((base, base.copy()), cfg, seed=1, epochs=300,
-                                  batch_size=500, learning_rate=3e-3)
+        model = fit_autoencoder(base, base.copy(), cfg, seed=1, epochs=300,
+                                batch_size=500, learning_rate=3e-3)
         _, loss_t, loss_r = model.epoch_losses[-1]
         assert abs(loss_t - loss_r) / max(loss_t, loss_r) < 0.10
 
@@ -186,8 +190,8 @@ class TestMdaeTraining:
         x_t = np.ones((200, 6))
         x_r = np.full((200, 4), 3.0)
         cfg = ArchitectureConfig(kind="mdae", enc=4, enc_split=(2, 2), hidden_dims=())
-        model = train_autoencoder((x_t, x_r), cfg, seed=0, epochs=300, batch_size=500,
-                                  learning_rate=1e-2)
+        model = fit_autoencoder(x_t, x_r, cfg, seed=0, epochs=300, batch_size=500,
+                                learning_rate=1e-2)
         assert model.epoch_losses[-1][0] < 1e-6
 
     def test_catalog_mdae_losses_decrease(self):
@@ -199,8 +203,8 @@ class TestMdaeTraining:
             config = ArchitectureConfig(kind="mdae", enc=5, hidden_dims=hidden,
                                         hidden_activation="relu")
             for seed in (0, 1, 2):
-                model = train_autoencoder((x_t, x_r), config, seed=seed, epochs=300,
-                                          batch_size=500, learning_rate=1e-3)
+                model = fit_autoencoder(x_t, x_r, config, seed=seed, epochs=300,
+                                        batch_size=500, learning_rate=1e-3)
                 assert model.epoch_losses[-1][0] < model.epoch_losses[0][0]
 
     def test_catalog_single_stack_losses_decrease(self):
@@ -210,8 +214,8 @@ class TestMdaeTraining:
                 continue
             config = ArchitectureConfig(kind=kind, enc=5, hidden_dims=hidden,
                                         hidden_activation="relu")
-            model = train_autoencoder((x_t, x_r), config, seed=0, epochs=300,
-                                      batch_size=500, learning_rate=1e-3)
+            model = fit_autoencoder(x_t, x_r, config, seed=0, epochs=300,
+                                    batch_size=500, learning_rate=1e-3)
             assert model.epoch_losses[-1][0] < model.epoch_losses[0][0]
 
 
@@ -234,7 +238,7 @@ class TestParallelStep:
         # the serial path: a worker of a process pool, as a fold worker fits
         with ProcessPoolExecutor(1) as pool:
             assert pool.submit(autoencoders._block_threads, 2).result(timeout=60) == 1
-            serial = pool.submit(train_autoencoder, (x_t, x_r), cfg, **fit).result(timeout=120)
+            serial = pool.submit(fit_autoencoder, x_t, x_r, cfg, **fit).result(timeout=120)
         threads = set()
         forward = nn.MLP.forward_cache
 
@@ -246,7 +250,7 @@ class TestParallelStep:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often: a race would show in the bits
         try:
-            threaded = train_autoencoder((x_t, x_r), cfg, **fit)
+            threaded = fit_autoencoder(x_t, x_r, cfg, **fit)
         finally:
             sys.setswitchinterval(interval)
         # the calling thread runs the task block, a pool thread the rest block
@@ -269,12 +273,12 @@ class TestParallelStep:
             return backward(net, *args, **kwargs)
 
         monkeypatch.setattr(nn.MLP, "backward_cache", counting)
-        train_autoencoder((x_t, x_r), cfg, **fit)
+        fit_autoencoder(x_t, x_r, cfg, **fit)
         assert max(counts) == start + 1 and threading.active_count() == start
         counts.clear()
         fail = True
         with pytest.raises(RuntimeError, match="step failed"):
-            train_autoencoder((x_t, x_r), cfg, **fit)
+            fit_autoencoder(x_t, x_r, cfg, **fit)
         assert threading.active_count() == start
 
     @pytest.mark.parametrize("kind", ["mdae", "concat-ae"])
@@ -306,8 +310,8 @@ class TestParallelStep:
         monkeypatch.setattr(nn, "adam_step", traced)
         tracemalloc.start()
         try:
-            train_autoencoder((x_t, x_r), cfg, seed=0, epochs=1, batch_size=rows,
-                              learning_rate=1e-3)
+            fit_autoencoder(x_t, x_r, cfg, seed=0, epochs=1, batch_size=rows,
+                            learning_rate=1e-3)
         finally:
             tracemalloc.stop()
         assert len(growth) == 2 and max(growth) < buffers, growth
@@ -315,15 +319,14 @@ class TestParallelStep:
 
 def test_block_samples_stack_subjects_in_order():
     subjects = [make_subject(f"s{i}", 7, seed=60 + i, d_task=4, d_rest=5) for i in range(3)]
-    views = [(s.x_task, s.x_rest) for s in subjects]
+    pairs = [(s.x_task, s.x_rest) for s in subjects]
     x_task = np.vstack([s.x_task for s in subjects])
     x_rest = np.vstack([s.x_rest for s in subjects])
-    both = np.concatenate([x_task, x_rest], axis=1)
-    blocks = [slice(0, 4), slice(4, 9), slice(0, 9), slice(2, 6)]
-    samples = autoencoders._block_samples(views, blocks)
-    for x, cols in zip(samples, blocks):
+    blocks = [(0,), (1,), (0, 1)]
+    samples = autoencoders._block_samples(pairs, blocks)
+    for x, want in zip(samples, [x_task, x_rest, np.concatenate([x_task, x_rest], axis=1)]):
         assert x.flags.c_contiguous and x.flags.owndata
-        assert np.array_equal(x, both[:, cols])
+        assert np.array_equal(x, want)
     with pytest.raises(ValueError, match="empty"):
         autoencoders._block_samples([(np.zeros((0, 4)), np.zeros((0, 5)))], blocks)
 
@@ -333,7 +336,7 @@ def test_training_leaves_the_callers_arrays_unchanged(kind):
     x_t, x_r = random_views(60, 5, 4, seed=2)
     before = x_t.copy(), x_r.copy()
     cfg = ArchitectureConfig(kind=kind, enc=4, output_activation="sigmoid")
-    train_autoencoder((x_t, x_r), cfg, seed=0, epochs=1, batch_size=16, learning_rate=1e-3)
+    fit_autoencoder(x_t, x_r, cfg, seed=0, epochs=1, batch_size=16, learning_rate=1e-3)
     assert np.array_equal(x_t, before[0]) and np.array_equal(x_r, before[1])
 
 
@@ -371,8 +374,8 @@ class TestFitMemory:
                                  hidden_activation="relu", output_activation=output)
         spec = AutoencoderSpec(cfg, epochs=1, batch_size=100, learning_rate=1e-3)
         nn.apply_activation(output, np.zeros(1))  # a sigmoid imports scipy.special once
-        widest = max(cols.stop - cols.start
-                     for cols, _ in cfg.blocks(ViewSpec(self.D_TASK, self.D_REST)))
+        view_widths = (self.D_TASK, self.D_REST)
+        widest = max(sum(view_widths[v] for v in views) for views, _ in cfg.blocks())
         scaler_temporary = self.COPY * widest // (self.D_TASK + self.D_REST)
         targets = self.COPY if output == "sigmoid" else 0
         bound = self.COPY + targets + scaler_temporary + self.ALLOWANCE
@@ -398,8 +401,8 @@ SWEPT_STACKS = [
 def models():
     x_t, x_r = random_views(300, 6, 4, seed=10, latent_dim=3)
     return {
-        kind: train_autoencoder((x_t, x_r), ArchitectureConfig(kind=kind, enc=4), seed=0,
-                                epochs=5, batch_size=100, learning_rate=1e-3)
+        kind: fit_autoencoder(x_t, x_r, ArchitectureConfig(kind=kind, enc=4), seed=0,
+                              epochs=5, batch_size=100, learning_rate=1e-3)
         for kind in KINDS
     }
 
@@ -445,11 +448,13 @@ class TestEncoding:
         cfg = ArchitectureConfig(kind=kind, enc=4, hidden_dims=(6,),
                                  enc_split=(3, 1) if kind == "mdae" else None,
                                  hidden_activation="relu", output_activation="sigmoid")
-        model = train_autoencoder((x_t, x_r), cfg, seed=0, epochs=4, batch_size=64,
-                                  learning_rate=1e-3)
+        model = fit_autoencoder(x_t, x_r, cfg, seed=0, epochs=4, batch_size=64,
+                                learning_rate=1e-3)
         assert model.config == cfg
-        assert model.view == ViewSpec(d_task=5, d_rest=4)
-        assert [e.output_dim for e in model.encoders] == [w for _, w in cfg.blocks(model.view)]
+        # each encoder reads the columns of its block's views
+        view_widths = (5, 4)
+        assert [(e.layers[0].fan_in, e.output_dim) for e in model.encoders] == [
+            (sum(view_widths[v] for v in views), width) for views, width in cfg.blocks()]
         assert model.encode_pair(x_t, x_r).shape == (200, 4)
         assert np.isfinite(model.reconstruction_mse(x_t, x_r))
 
@@ -490,8 +495,8 @@ def test_training_matches_pinned_values(kind):
     x_t, x_r = random_views(40, 5, 4, seed=21, latent_dim=3)
     cfg = ArchitectureConfig(kind=kind, enc=4, hidden_dims=(8,),
                              hidden_activation="linear", output_activation="sigmoid")
-    model = train_autoencoder((x_t, x_r), cfg, seed=3, epochs=3, batch_size=16,
-                              learning_rate=1e-2)
+    model = fit_autoencoder(x_t, x_r, cfg, seed=3, epochs=3, batch_size=16,
+                            learning_rate=1e-2)
     losses, codes = PINNED[kind]
     assert len(model.epoch_losses[-1]) == len(losses)
     assert np.allclose(model.epoch_losses[-1], losses, rtol=1e-12, atol=0.0)
@@ -541,8 +546,8 @@ def test_relu_training_matches_pinned_values(case):
     cfg = ArchitectureConfig(kind=setup["kind"], enc=setup["enc"],
                              hidden_dims=setup["hidden_dims"], enc_split=setup["enc_split"],
                              hidden_activation="relu", output_activation="linear")
-    model = train_autoencoder((x_t, x_r), cfg, seed=3, epochs=3, batch_size=16,
-                              learning_rate=1e-2)
+    model = fit_autoencoder(x_t, x_r, cfg, seed=3, epochs=3, batch_size=16,
+                            learning_rate=1e-2)
     assert len(model.epoch_losses) == len(losses)
     for got, want in zip(model.epoch_losses, losses):
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
@@ -572,8 +577,12 @@ class TestRepresentationSpecs:
 
     def test_oracle_spec_lookup(self):
         subjects = [make_subject("s0", 6, seed=50)]
-        latents = {"s0": np.ones((6, 2))}
-        model = OracleSpec(latents=latents).fit(subjects, seed=0)
-        assert np.array_equal(model.encode_subject(subjects[0]), np.ones((6, 2)))
+        spec = OracleSpec(latents={"s0": np.ones((6, 2), dtype=int)})
+        model = spec.fit(subjects, seed=0)
+        assert model is spec  # nothing to fit: the spec encodes
+        z = model.encode_subject(subjects[0])
+        assert z.dtype == np.float64 and np.array_equal(z, np.ones((6, 2)))
         with pytest.raises(KeyError):
             model.encode_subject(make_subject("s9", 6, seed=51))
+        with pytest.raises(ValueError, match="latent dim"):
+            OracleSpec(latents={"s0": np.ones((6, 2)), "s1": np.ones((6, 3))})

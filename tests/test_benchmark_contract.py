@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import mvtrace.cli  # noqa: F401 - imports every module the tracer wraps
-from conftest import random_views
-from mvtrace.autoencoders import KINDS, ArchitectureConfig, train_autoencoder
+from conftest import fit_autoencoder, random_views
+from mvtrace.autoencoders import KINDS, ArchitectureConfig
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -41,8 +41,8 @@ def test_traced_boundary_resolves(name, module, path):
 def test_epoch_losses_are_total_then_per_decoder(kind):
     x_t, x_r = random_views(30, 4, 3, seed=0)
     config = ArchitectureConfig(kind=kind, enc=2)
-    model = train_autoencoder((x_t, x_r), config, seed=0, epochs=2, batch_size=8,
-                              learning_rate=1e-3)
+    model = fit_autoencoder(x_t, x_r, config, seed=0, epochs=2, batch_size=8,
+                            learning_rate=1e-3)
     decoders = 2 if kind == "mdae" else 1
     assert len(model.epoch_losses) == 2
     for losses in model.epoch_losses:

@@ -120,6 +120,22 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg)]) == 0
         assert (tmp_path / "a" / "b" / "ds" / "mesh.off").exists()
 
+    @pytest.mark.parametrize("override,message", [
+        ({"seed": -2}, "seed must be >= 0, got -2"),
+        ({"d_task": 0}, "d_task must be >= 1, got 0"),
+        ({"d_rest": 0}, "d_rest must be >= 1, got 0"),
+    ])
+    def test_out_of_range_field_rejected_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                            override, message):
+        calls = []
+        monkeypatch.setattr(synth, "generate", lambda *a: calls.append(a))
+        out = tmp_path / "ds"
+        cfg = write_config(tmp_path, "gen.json", {**SMALL_GENERATE, **override, "out": str(out)})
+        assert main(["generate", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": f"invalid generate config: {message}"}
+        assert calls == [] and not out.exists()
+
     def test_invalid_mesh_spec_is_config_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "gen.json",
@@ -380,6 +396,45 @@ class TestRun:
         assert err == {"error": "ValueError",
                        "message": f"subject {sid} has non-finite task values"}
         assert folds_run == [] and not out.exists()
+
+    def test_view_without_columns_rejected_before_any_fold(self, dataset_dir, tmp_path,
+                                                           capsys, folds_run):
+        # raw ran to completion on a zero-column rest view, and mdae failed
+        # only at fit time
+        bad = tmp_path / "bad"
+        shutil.copytree(dataset_dir, bad)
+        subjects = load_dataset(dataset_dir)[0]
+        for s in subjects:
+            io.write_matrix(bad / f"rest_{s.subject_id}.mvrl", np.zeros((s.vertex_count, 0)))
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "run.json",
+                           {**SMALL_RUN, "arch": "raw", "dataset": str(bad), "out": str(out)})
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": f"subject {subjects[0].subject_id} has no rest column"}
+        assert folds_run == [] and not out.exists()
+
+    @pytest.mark.parametrize("command,override,message", [
+        ("run", {"seed": -1}, "seed must be >= 0, got -1"),
+        ("run", {"cv": {"folds": 4, "seed": -3}}, "cv.seed must be >= 0, got -3"),
+        # the first point would run its whole cross-validation before the
+        # second failed inside make_folds
+        ("sweep", {"grid": [{"label": "ok"}, {"label": "bad", "seed": -1}]},
+         "seed must be >= 0, got -1"),
+    ])
+    def test_negative_seed_rejected_before_any_load(self, dataset_dir, tmp_path, capsys,
+                                                    monkeypatch, command, override, message):
+        calls = []
+        monkeypatch.setattr("mvtrace.cli.load_dataset", lambda *a: calls.append("load"))
+        monkeypatch.setattr(evaluation, "run_cv", lambda *a, **k: calls.append("run_cv"))
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, f"{command}.json",
+                           {**SMALL_RUN, **override, "dataset": str(dataset_dir), "out": str(out)})
+        assert main([command, "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": message}
+        assert calls == [] and not out.exists()
 
     def test_leave_one_out(self, dataset_dir, tmp_path):
         # one subject per test fold: R² is undefined there, its cells blank

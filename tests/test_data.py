@@ -29,6 +29,13 @@ def test_vertex_count_mismatch_rejected():
         SubjectRecord("a", np.zeros((5, 3)), np.zeros((4, 2)), 0.0)
 
 
+def test_view_without_columns_rejected():
+    with pytest.raises(ValueError, match="no task column"):
+        SubjectRecord("a", np.zeros((5, 0)), np.zeros((5, 2)), 0.0)
+    with pytest.raises(ValueError, match="no rest column"):
+        SubjectRecord("a", np.zeros((5, 3)), np.zeros((5, 0)), 0.0)
+
+
 def test_dataset_roundtrip(tmp_path):
     mesh = icosphere(1)
     subjects = make_subjects(4, mesh.vertex_count, 3, 2, seed=5)

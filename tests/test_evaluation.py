@@ -218,7 +218,6 @@ class TestRunCv:
         assert len(models) == 2
         model_a, model_b = models
         assert model_a.config == model_b.config
-        assert model_a.view == model_b.view
         assert model_a.epoch_losses == model_b.epoch_losses
         assert len(model_a.scalers) == len(model_b.scalers)
         for scaler_a, scaler_b in zip(model_a.scalers, model_b.scalers):

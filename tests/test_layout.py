@@ -28,9 +28,6 @@ ALLOWED = {
     "pca.reconstruction_mse": "diagnostic reconstruction loss read by tests",
     "pca.PcaModel.explained_variance": "diagnostic spectrum that tests check is nonincreasing",
     "autoencoders.OracleSpec": "fixed-latent representation that the oracle criteria fit",
-    "autoencoders.train_autoencoder": "array-level fit of one (x_task, x_rest) pair that the "
-                                      "training tests drive; the pipeline reaches the same "
-                                      "_fit from subjects through AutoencoderSpec.fit",
     "synth.GroundTruth.clusters": "planted clusters the localization tests compare maps to",
     "synth.GroundTruth.score_mean": "raw-score mean the score-scale tests read",
     "synth.GroundTruth.score_std": "raw-score sd the score-scale tests read",

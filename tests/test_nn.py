@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import fit_autoencoder
 from mvtrace import nn
-from mvtrace.autoencoders import ArchitectureConfig, train_autoencoder
+from mvtrace.autoencoders import ArchitectureConfig
 
 ACTIVATION_PAIRS = [
     ("linear", "linear"),
@@ -236,14 +237,14 @@ class TestSharedBuffers:
 
 
 class TestTraining:
-    """The one training loop, ``autoencoders.train_autoencoder``."""
+    """The one training loop, reached through ``AutoencoderSpec.fit``."""
 
     def test_deterministic_for_fixed_seed(self):
         def train_once():
             x = np.random.default_rng(1).standard_normal((64, 4))
             cfg = ArchitectureConfig(kind="concat-ae", enc=3, hidden_activation="relu")
-            model = train_autoencoder((x[:, :2], x[:, 2:]), cfg, seed=7, epochs=25,
-                                      batch_size=16, learning_rate=1e-3)
+            model = fit_autoencoder(x[:, :2], x[:, 2:], cfg, seed=7, epochs=25,
+                                    batch_size=16, learning_rate=1e-3)
             return [p.copy() for net in model.encoders + model.decoders
                     for p in net.parameters()]
 
@@ -256,22 +257,22 @@ class TestTraining:
         basis = np.linalg.qr(rng.standard_normal((10, 3)))[0]
         data = rng.standard_normal((800, 3)) @ basis.T
         cfg = ArchitectureConfig(kind="concat-ae", enc=3)
-        model = train_autoencoder((data[:, :5], data[:, 5:]), cfg, seed=0, epochs=800,
-                                  batch_size=500, learning_rate=3e-3)
+        model = fit_autoencoder(data[:, :5], data[:, 5:], cfg, seed=0, epochs=800,
+                                batch_size=500, learning_rate=3e-3)
         # targets are standardized, so unit variance per feature
         assert model.reconstruction_mse(data[:, :5], data[:, 5:]) < 1e-3
 
     def test_loss_curve_length_and_decrease(self):
         x = np.random.default_rng(2).standard_normal((128, 6))
         cfg = ArchitectureConfig(kind="concat-ae", enc=4, hidden_activation="relu")
-        model = train_autoencoder((x[:, :3], x[:, 3:]), cfg, seed=3, epochs=30,
-                                  batch_size=32, learning_rate=1e-3)
+        model = fit_autoencoder(x[:, :3], x[:, 3:], cfg, seed=3, epochs=30,
+                                batch_size=32, learning_rate=1e-3)
         assert len(model.epoch_losses) == 30
         assert model.epoch_losses[-1][0] < model.epoch_losses[0][0]
 
     def test_empty_data_rejected(self):
         cfg = ArchitectureConfig(kind="concat-ae", enc=3)
         with pytest.raises(ValueError):
-            train_autoencoder((np.zeros((0, 3)), np.zeros((0, 3))), cfg, seed=0,
-                              epochs=1, batch_size=4, learning_rate=1e-3)
+            fit_autoencoder(np.zeros((0, 3)), np.zeros((0, 3)), cfg, seed=0,
+                            epochs=1, batch_size=4, learning_rate=1e-3)
 

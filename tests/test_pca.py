@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvtrace.autoencoders import ArchitectureConfig, train_autoencoder
+from conftest import fit_autoencoder
+from mvtrace import pca
+from mvtrace.autoencoders import ArchitectureConfig
 from mvtrace.pca import fit_pca, pca_decode, pca_encode, reconstruction_mse
 
 
@@ -60,11 +62,14 @@ class TestFit:
         with pytest.warns(UserWarning, match="rank-deficient"):
             fit_pca(data, 3)
 
-    def test_subsample_cap_deterministic(self):
+    def test_subsample_cap_deterministic(self, monkeypatch):
         data = np.random.default_rng(5).standard_normal((2000, 4))
-        a = fit_pca(data, 2, max_rows=500, seed=11)
-        b = fit_pca(data, 2, max_rows=500, seed=11)
+        uncapped = fit_pca(data, 2, seed=11)
+        monkeypatch.setattr(pca, "MAX_ROWS", 500)
+        a = fit_pca(data, 2, seed=11)
+        b = fit_pca(data, 2, seed=11)
         assert np.array_equal(a.components, b.components)
+        assert not np.array_equal(a.components, uncapped.components)  # the cap took effect
 
 
 class TestEncodeDecode:
@@ -107,8 +112,8 @@ def test_pca_lower_bounds_linear_autoencoder():
     data = rng.standard_normal((600, 8)) @ rng.standard_normal((8, 8))
     k = 3
     cfg = ArchitectureConfig(kind="concat-ae", enc=k)
-    model = train_autoencoder((data[:, :4], data[:, 4:]), cfg, seed=1, epochs=600,
-                              batch_size=500, learning_rate=3e-3)
+    model = fit_autoencoder(data[:, :4], data[:, 4:], cfg, seed=1, epochs=600,
+                            batch_size=500, learning_rate=3e-3)
     # both in the autoencoder's standardized target space
     standardized = model.scalers[0].transform(data)  # one block over both views
     pca_mse = reconstruction_mse(fit_pca(standardized, k), standardized)

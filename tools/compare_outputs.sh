@@ -16,8 +16,9 @@
 # worker processes) and once with two BLAS threads, and the raw_alpha_path
 # sweep once more with --jobs 2 (a penalty path in each worker), and each pair
 # is compared the same way (one report line each).  Each side also runs the
-# mdae_cv config with arch "pca", and with output_activation "sigmoid"
-# (min-max targets), one report line each.  Last, each side generates four
+# mdae_cv config with arch "pca", with output_activation "sigmoid" (min-max
+# targets), and with arch "monomodal-task" and "monomodal-rest" (one block
+# over one view), one report line each.  Last, each side generates four
 # more cohorts at the same seed, on generator branches that no workload reaches
 # (rest-view nuisance on, cluster_coherence 0, a grid mesh, one subject), and
 # those are compared too (one report line each).
@@ -116,13 +117,14 @@ for name, wl in workloads.WORKLOADS.items():
             compare "$d/$leg-P" "$d/$leg-C"
             echo "mdae_cv seed $s run $leg: $(ls "$d/$leg-P" | wc -l) files"
         done
-        # the same cohort through the PCA baseline and through an mdae with
-        # min-max targets (sigmoid output), paths no workload reaches
-        for leg in pca sigmoid; do
+        # the same cohort through the PCA baseline, an mdae with min-max
+        # targets (sigmoid output) and the two one-view autoencoders, paths no
+        # workload reaches
+        for leg in pca sigmoid monomodal-task monomodal-rest; do
             python3 -c "
 import json, sys
 cfg = json.load(open('$d/run.json'))
-cfg.update({'arch': 'pca'} if '$leg' == 'pca' else {'output_activation': 'sigmoid'})
+cfg.update({'output_activation': 'sigmoid'} if '$leg' == 'sigmoid' else {'arch': '$leg'})
 json.dump(cfg, open('$d/$leg.json', 'w'))
 " || exit 1
             for side in P C; do
